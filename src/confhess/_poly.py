@@ -111,19 +111,3 @@ def complete_homogeneous_all(x, k):
         h[..., m] = acc / m
     return h
 
-
-def sigma_enumerated(lam, k):
-    """Subset-sum oracle for ``sigma_k``; O(C(n, k)), test use only."""
-    from itertools import combinations
-
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= k <= n:
-        raise DomainError(f"degree k={k} outside 0..n={n}")
-    total = np.zeros(lam.shape[:-1])
-    for subset in combinations(range(n), k):
-        prod = np.ones(lam.shape[:-1])
-        for i in subset:
-            prod = prod * lam[..., i]
-        total = total + prod
-    return total

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import cones, conformal, diagnostics, radial_solver, symfun
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError, parse_descriptor
 
 #: Default sampling seed used when neither --seed nor CHL_SEED is given.
 DEFAULT_SEED = 12345
@@ -106,17 +106,11 @@ def _seed(args):
 
 
 def _background(args, n):
-    text = getattr(args, "background", "flat") or "flat"
-    if text == "flat":
-        return conformal.FlatBackground(n)
-    head, _, rest = text.partition(":")
-    if head == "sphere":
-        fields = dict(item.partition("=")[::2] for item in rest.split(",") if item)
-        try:
-            return conformal.SphereBackground(n, radius=float(fields.get("a", 1.0)))
-        except ValueError as exc:
-            raise UsageError(f"background '{text}': {exc}") from exc
-    raise UsageError(f"unknown background '{text}' (expected flat or sphere:a=R)")
+    return parse_descriptor(getattr(args, "background", "flat") or "flat", "background", {
+        "flat": ((), lambda f: conformal.FlatBackground(n)),
+        "sphere": (("a",), lambda f: conformal.SphereBackground(
+            n, radius=float(f.get("a", 1.0)))),
+    })
 
 
 def _profile(args, n):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _poly
-from .errors import DomainError
+from .errors import DomainError, parse_descriptor
 
 #: Relative tolerance for bisection-based boundary location.
 BOUNDARY_TOL = 1e-12
@@ -85,7 +85,7 @@ class SigmaDelta:
         return None
 
     def descriptor(self):
-        return f"sigma:delta={self.delta:g}"
+        return f"sigma:delta={float(self.delta)!r}"
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,14 @@ def boundary_shift(cone, lam, tol=BOUNDARY_TOL):
     the diagonal direction.  Membership along the diagonal is monotone (every
     supported cone is convex and contains the positive diagonal ray), so the
     crossing is unique; ``SigmaDelta`` is solved in closed form, the other
-    cones by bisection to ``tol`` relative accuracy.
+    cones by bisection to ``tol`` relative accuracy.  Non-finite tuples have
+    no crossing and raise :class:`DomainError`.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != cone.n:
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
+    if not np.all(np.isfinite(lam)):
+        raise DomainError("boundary_shift requires finite tuples")
     if isinstance(cone, SigmaDelta):
         return -cone.margin_value(lam) / (1.0 + cone.n * cone.delta)
 
@@ -237,6 +240,8 @@ def gamma_sigma_inclusion_test(k, n, samples, seed):
     observed margin ``min lam_i + delta * sum lam_i`` (expected positive).
     """
     _check_dim(n)
+    if samples <= 0:
+        raise DomainError(f"samples must be positive, got {samples}")
     delta = inclusion_delta(k, n)
     rng = np.random.default_rng(seed)
     gamma = GammaK(n, k)
@@ -266,23 +271,7 @@ def min_k_positive_ricci(n):
 
 def parse_cone(text, n):
     """Parse the canonical textual cone forms ``gamma:k=K`` / ``sigma:delta=D``."""
-    from .errors import UsageError
-
-    head, _, rest = text.partition(":")
-    fields = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise UsageError(f"cone field '{item}' is not key=value")
-            fields[key.strip()] = val.strip()
-    try:
-        if head == "gamma":
-            return GammaK(n=n, k=int(fields["k"]))
-        if head == "sigma":
-            return SigmaDelta(n=n, delta=float(fields["delta"]))
-    except KeyError as exc:
-        raise UsageError(f"cone '{text}' is missing field {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"cone '{text}': {exc}") from exc
-    raise UsageError(f"unknown cone '{head}' (expected gamma:k=K or sigma:delta=D)")
+    return parse_descriptor(text, "cone", {
+        "gamma": (("k",), lambda f: GammaK(n=n, k=int(f["k"]))),
+        "sigma": (("delta",), lambda f: SigmaDelta(n=n, delta=float(f["delta"]))),
+    })

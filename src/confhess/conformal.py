@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, NumericError, PositivityError, UsageError
+from .errors import DomainError, NumericError, PositivityError, UsageError, parse_descriptor
 
 GAUGES = ("v", "u", "w")
 
@@ -447,27 +447,14 @@ def load_radial_profile(path, n, gauge="v", background=None):
 
 def parse_profile(text, n, gauge="v", background=None):
     """Parse catalog profile descriptors: const:c=1, inversion:C=1, bubble:scale=1."""
-    head, _, rest = text.partition(":")
-    fields = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise UsageError(f"profile field '{item}' is not key=value")
-            fields[key.strip()] = val.strip()
-    try:
-        if head == "const":
-            return constant_profile(n, c=float(fields.get("c", 1.0)), gauge=gauge,
-                                    background=background)
-        if head == "inversion":
-            return inversion_profile(n, coefficient=float(fields.get("C", 1.0)),
-                                     gauge=gauge, background=background)
-        if head == "bubble":
-            return bubble_profile(n, scale=float(fields.get("scale", 1.0)),
-                                  gauge=gauge, background=background)
-    except ValueError as exc:
-        raise UsageError(f"profile '{text}': {exc}") from exc
-    raise UsageError(f"unknown profile '{head}' (expected const/inversion/bubble)")
+    kw = dict(gauge=gauge, background=background)
+    return parse_descriptor(text, "profile", {
+        "const": (("c",), lambda f: constant_profile(n, c=float(f.get("c", 1.0)), **kw)),
+        "inversion": (("C",), lambda f: inversion_profile(
+            n, coefficient=float(f.get("C", 1.0)), **kw)),
+        "bubble": (("scale",), lambda f: bubble_profile(
+            n, scale=float(f.get("scale", 1.0)), **kw)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +589,14 @@ def _schouten_eigs_sphere_covariant(p, x):
     return _eigvalsh(amat) / phi2
 
 
-def radial_schouten_eigs(p, r):
-    """Radial and tangential Schouten eigenvalues of a radial profile.
+def tangential_hessian(r, d1, d2):
+    """Tangential Hessian eigenvalue ``d1 / r`` of a radial function, with
+    the even-extension limit ``d2`` at ``r = 0``."""
+    return np.where(r == 0.0, d2, d1 / np.where(r == 0.0, 1.0, r))
+
+
+def radial_jet_eigs(n, r, v, v1, v2):
+    """Radial and tangential Schouten eigenvalues from the radial jet of v.
 
     For ``v = v(r)`` over flat space the matrix ``A`` has the radial
     eigenvalue once and the tangential eigenvalue with multiplicity n-1:
@@ -615,25 +608,24 @@ def radial_schouten_eigs(p, r):
     orthogonal complement).  At ``r = 0`` the even extension gives
     ``v'/r -> v''`` and the two eigenvalues coincide.
     """
-    pv = gauge_convert(p, "v")
+    pref = (2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0))
+    lam_rad = pref * (-v2 + ((n - 1.0) / (n - 2.0)) * v1 ** 2 / v)
+    lam_tan = pref * (-tangential_hessian(r, v1, v2) - (1.0 / (n - 2.0)) * v1 ** 2 / v)
+    return lam_rad, lam_tan
+
+
+def radial_schouten_eigs(p, r):
+    """Radial and tangential Schouten eigenvalues of a radial profile at
+    radii ``r`` (see :func:`radial_jet_eigs`)."""
+    pv = flat_equivalent(p)
     if not isinstance(pv, RadialProfile):
-        raise DomainError("radial_schouten_eigs requires a radial profile")
-    if pv.background.kind != "flat":
-        pv = flat_equivalent(pv)
-        if not isinstance(pv, RadialProfile):
-            raise DomainError("sphere profile must be centered to reduce radially")
+        raise DomainError("radial_schouten_eigs requires a radial profile "
+                          "(centered at 0 over the sphere)")
     r = np.asarray(r, dtype=float)
     val = pv.radial_value(r)
     if np.any(val <= 0.0):
         raise PositivityError("profile must be positive on the requested radii")
-    v1 = pv.radial_d1(r)
-    v2 = pv.radial_d2(r)
-    n = pv.n
-    pref = (2.0 / (n - 2.0)) * val ** (-(n + 2.0) / (n - 2.0))
-    ratio = np.where(r == 0.0, v2, v1 / np.where(r == 0.0, 1.0, r))
-    lam_rad = pref * (-v2 + ((n - 1.0) / (n - 2.0)) * v1 ** 2 / val)
-    lam_tan = pref * (-ratio - (1.0 / (n - 2.0)) * v1 ** 2 / val)
-    return lam_rad, lam_tan
+    return radial_jet_eigs(pv.n, r, val, pv.radial_d1(r), pv.radial_d2(r))
 
 
 # ---------------------------------------------------------------------------

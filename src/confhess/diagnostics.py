@@ -123,6 +123,8 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     dense 1-D grid; other profiles are sampled at quasi-random ball points
     (or at explicitly provided ``points``).
     """
+    if not radius > 0.0:
+        raise DomainError(f"monitor radius must be positive, got {radius}")
     pv = conformal.gauge_convert(p, "v")
     if isinstance(pv, conformal.RadialProfile) and pv.centered_at_origin and points is None:
         lo = radius / num_samples if pv.excludes_origin else max(pv.domain[0], 0.0)
@@ -148,12 +150,14 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     Hessian of a radial ``u`` is either radial (second derivative) or
     tangential (``u'/s``).
     """
+    if not radius > 0.0:
+        raise DomainError(f"monitor radius must be positive, got {radius}")
     pu = conformal.gauge_convert(p, "u")
     if isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin and points is None:
         lo = radius / num_samples if pu.excludes_origin else max(pu.domain[0], 0.0)
         s = np.linspace(lo, min(radius, pu.domain[1]), num_samples)
         d1, d2 = pu.radial_d1(s), pu.radial_d2(s)
-        tang = np.abs(np.where(s == 0.0, d2, d1 / np.where(s == 0.0, 1.0, s)))
+        tang = np.abs(conformal.tangential_hessian(s, d1, d2))
         rad = np.abs(d2)
         z = cutoff(s, radius) ** 2 * np.maximum(rad, tang)
         i = int(np.argmax(z))
@@ -268,8 +272,8 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
         rho(s) = int_0^s dt / u(t),
         Vol(s) = area(S^(n-1)) int_0^s t^(n-1) / u(t)^n dt,
 
-    and ``s(r)`` is found by monotone bisection on the cumulative table of
-    ``rho``.  Radii beyond the reachable geodesic radius raise a domain
+    and ``s(r)`` is found by Newton's method inside the cell of the cumulative
+    ``rho`` table that holds ``r``.  Radii beyond the reachable geodesic radius raise a domain
     error.
     """
     pu = conformal.gauge_convert(p, "u")
@@ -314,35 +318,28 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
         raise DomainError(
             f"radius {r_max:g} exceeds the reachable geodesic radius {reach:g}")
 
-    def rho_at(s):
-        j = np.searchsorted(nodes, s, side="right") - 1
-        j = min(max(j, 0), nodes.size - 2)
-        extra = adaptive_simpson(inv_u, nodes[j], s, rtol=rtol)[0] if s > nodes[j] else 0.0
-        return rho_tab[j] + extra, j
-
     area = unit_sphere_area(n)
     ball = unit_ball_volume(n)
     ratios = np.empty(r_list.size)
     for idx, r in enumerate(r_list):
         if r >= reach:
-            s_r, j = float(nodes[-1]), nodes.size - 2
             vol = vol_tab[-1]
         else:
-            lo, hi = 0.0, float(nodes[-1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                val, _ = rho_at(mid)
-                if val < r:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-13 * (1.0 + hi):
+            # Newton on rho(s) = r with rho'(s) = 1/u(s), inside the table
+            # cell holding r; a step leaving the shrinking bracket bisects it.
+            j = int(np.searchsorted(rho_tab, r, side="right")) - 1
+            lo, hi = float(nodes[j]), float(nodes[j + 1])
+            s_r = lo + (hi - lo) * (r - rho_tab[j]) / (rho_tab[j + 1] - rho_tab[j])
+            for _ in range(100):
+                g = rho_tab[j] + adaptive_simpson(inv_u, nodes[j], s_r, rtol=rtol)[0] - r
+                lo, hi = (s_r, hi) if g < 0.0 else (lo, s_r)
+                s_new = s_r - g / float(inv_u(s_r))
+                if not lo <= s_new <= hi:
+                    s_new = 0.5 * (lo + hi)
+                s_r, step = s_new, abs(s_new - s_r)
+                if step <= 1e-13 * (1.0 + s_r):
                     break
-            s_r = 0.5 * (lo + hi)
-            j = min(max(np.searchsorted(nodes, s_r, side="right") - 1, 0), nodes.size - 2)
-            vol = vol_tab[j]
-            if s_r > nodes[j]:
-                vol = vol + adaptive_simpson(vol_density, nodes[j], s_r, rtol=rtol)[0]
+            vol = vol_tab[j] + adaptive_simpson(vol_density, nodes[j], s_r, rtol=rtol)[0]
         ratios[idx] = area * vol / (ball * r ** n)
     return VolumeRatioCurve(n=n, radii=r_list.copy(), ratios=ratios)
 

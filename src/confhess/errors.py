@@ -1,7 +1,9 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the descriptor grammar.
 
 The split mirrors the CLI exit-code contract: domain/admissibility problems
 (exit 1), numeric failures (exit 2), and usage/config mistakes (exit 3).
+Operator, cone, profile and background descriptors share one grammar,
+parsed by :func:`parse_descriptor` into usage errors.
 """
 
 
@@ -37,3 +39,36 @@ class NumericError(ConfhessError, RuntimeError):
 
 class UsageError(ConfhessError, ValueError):
     """Malformed CLI arguments or configuration files."""
+
+
+def parse_descriptor(text, what, table):
+    """Build an object from descriptor text ``head[:key=val,...]``.
+
+    ``table`` maps each head to ``(keys, make)``: the keys it accepts and a
+    callable building the object from the dict of given fields.  An
+    ``inner=`` field comes last and takes the rest of the text, so nested
+    descriptors such as ``ricci:inner=quotient:k=2,l=1`` need no quoting.
+    Unknown heads and keys, repeated keys, items without a value and the
+    ``KeyError``/``ValueError`` raised by ``make`` become :class:`UsageError`.
+    """
+    head, _, rest = text.partition(":")
+    if head not in table:
+        raise UsageError(f"unknown {what} '{head}' (expected one of {', '.join(table)})")
+    keys, make = table[head]
+    fields = {}
+    while rest:
+        key, _, rest = rest.partition("=")
+        key = key.strip()
+        val, sep, rest = (rest, "", "") if key == "inner" else rest.partition(",")
+        if not val.strip() or (sep and not rest):
+            raise UsageError(f"{what} '{text}' has an item that is not key=value")
+        if key not in keys or key in fields:
+            raise UsageError(f"{what} '{text}': field '{key}' is unknown or repeated "
+                             f"(fields: {', '.join(keys) or 'none'})")
+        fields[key] = val.strip()
+    try:
+        return make(fields)
+    except KeyError as exc:
+        raise UsageError(f"{what} '{text}' is missing field {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{what} '{text}': {exc}") from exc

@@ -255,13 +255,9 @@ def node_eigentuples(cfg, v):
     """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node."""
     v = np.asarray(v, dtype=float)
     r, _, v1, v2 = _stencil(cfg, v)
-    n = cfg.n
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        pref = (2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0))
-        ratio = np.where(r == 0.0, v2, v1 / np.where(r == 0.0, 1.0, r))
-        lam_rad = pref * (-v2 + ((n - 1.0) / (n - 2.0)) * v1 ** 2 / v)
-        lam_tan = pref * (-ratio - (1.0 / (n - 2.0)) * v1 ** 2 / v)
-    lam = np.empty((v.size, n))
+        lam_rad, lam_tan = conformal.radial_jet_eigs(cfg.n, r, v, v1, v2)
+    lam = np.empty((v.size, cfg.n))
     lam[:, 0] = lam_rad
     lam[:, 1:] = lam_tan[:, None]
     return lam

@@ -8,9 +8,9 @@ conformal curvature equations:
 * ``PucciMin``        -- ``delta * sum(lam) + min over k-subsets of subset sums``;
 * ``InvPowerSum``     -- ``(sum lam_i^-2)^(-1/2)``;
 * ``InvMonomialSum``  -- ``[sum over |a| = k of lam^-a]^(-1/k)``;
-* ``Shifted``         -- ``f1(lam + delta * f2(lam) * (1,..,1))``;
-* ``RicciComposite``  -- the Shifted instance with ``delta = 1/(n-2)`` and
-  ``f2 = sum``, i.e. the inner operator evaluated on the Ricci eigenvalues.
+* ``Shifted``         -- ``f(lam + delta * sum(lam) * (1,..,1))``;
+* ``RicciComposite``  -- the Shifted instance with ``delta = 1/(n-2)``, i.e.
+  the inner operator evaluated on the Ricci eigenvalues.
 
 Every operator is positive on its cone, vanishes on the cone boundary, has a
 strictly positive gradient, is concave, permutation symmetric, and positively
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _poly, cones
-from .errors import AdmissibilityError, DomainError
+from .errors import AdmissibilityError, DomainError, parse_descriptor
 
 #: Type used for eigenvalue tuples throughout the package: the trailing axis
 #: holds the n eigenvalues; leading axes are broadcast batch axes.
@@ -101,6 +101,9 @@ class CurvatureOperator:
     not) and leave cone gating to :func:`eval_op` / :func:`grad_op`.
     """
 
+    #: Degree of positive homogeneity; 1 throughout the catalog.
+    alpha = 1.0
+
     def value(self, lam):
         lam = as_eigentuple(lam, self.n)
         ls = np.sort(lam, axis=-1, kind="stable")
@@ -150,8 +153,6 @@ class SigmaKRoot(CurvatureOperator):
         if not 1 <= self.k <= self.n:
             raise DomainError(f"SigmaKRoot requires 1 <= k <= n, got k={self.k}, n={self.n}")
         cones._check_dim(self.n)
-
-    alpha = 1.0
 
     @property
     def cone(self):
@@ -203,8 +204,6 @@ class Quotient(CurvatureOperator):
             raise DomainError(
                 f"Quotient requires 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         cones._check_dim(self.n)
-
-    alpha = 1.0
 
     @property
     def cone(self):
@@ -278,14 +277,12 @@ class PucciMin(CurvatureOperator):
             raise DomainError(f"PucciMin requires delta >= 0, got {self.delta}")
         cones._check_dim(self.n)
 
-    alpha = 1.0
-
     @property
     def cone(self):
         return cones.Positivity(self)
 
     def descriptor(self):
-        return f"pucci:k={self.k},delta={self.delta:g}"
+        return f"pucci:k={self.k},delta={float(self.delta)!r}"
 
     def admissible(self, lam):
         return self.value(lam) > 0.0
@@ -328,8 +325,6 @@ class InvPowerSum(CurvatureOperator):
     def __post_init__(self):
         cones._check_dim(self.n)
 
-    alpha = 1.0
-
     @property
     def cone(self):
         return cones.GammaK(self.n, self.n)
@@ -368,8 +363,6 @@ class InvMonomialSum(CurvatureOperator):
         if self.k < 1:
             raise DomainError(f"InvMonomialSum requires k >= 1, got {self.k}")
         cones._check_dim(self.n)
-
-    alpha = 1.0
 
     @property
     def cone(self):
@@ -435,24 +428,22 @@ class InvMonomialSum(CurvatureOperator):
 
 @dataclass(frozen=True)
 class Shifted(CurvatureOperator):
-    """``f(lam) = inner(lam + delta * inner2(lam) * (1,..,1))`` with ``delta > 0``.
+    """``f(lam) = inner(lam + delta * sum(lam) * (1,..,1))`` with ``delta > 0``.
 
-    ``inner2`` must be homogeneous of degree 1; the composite inherits the
-    homogeneity degree of ``inner``.
+    The linear trace shift; the composite inherits the homogeneity degree of
+    ``inner`` and is admissible where ``sum(lam) > 0`` and the shifted tuple
+    lies in the cone of ``inner``.
     """
 
     n: int
     inner: CurvatureOperator
     delta: float
-    inner2: CurvatureOperator
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise DomainError(f"Shifted requires delta > 0, got {self.delta}")
-        if self.inner.n != self.n or self.inner2.n != self.n:
-            raise DomainError("Shifted components must share the dimension n")
-        if self.inner2.alpha != 1.0:
-            raise DomainError("Shifted requires inner2 homogeneous of degree 1")
+        if self.inner.n != self.n:
+            raise DomainError("Shifted inner operator must share the dimension n")
 
     @property
     def alpha(self):
@@ -463,94 +454,64 @@ class Shifted(CurvatureOperator):
         return cones.Positivity(self)
 
     def descriptor(self):
-        return (f"shifted:delta={self.delta:g},"
-                f"inner={self.inner.descriptor()},inner2={self.inner2.descriptor()}")
+        return f"shifted:delta={float(self.delta)!r},inner={self.inner.descriptor()}"
 
     def _shift(self, lam):
-        return lam + self.delta * self.inner2.value(lam)[..., None]
+        return lam + self.delta * np.sum(lam, axis=-1, keepdims=True)
 
     def admissible(self, lam):
+        lam = np.asarray(lam, dtype=float)
         with np.errstate(**_QUIET):
-            ok2 = self.inner2.admissible(lam)
-            shifted = np.where(ok2[..., None], self._shift(lam), 1.0)
-            return ok2 & self.inner.admissible(shifted)
+            return (np.sum(lam, axis=-1) > 0.0) & self.inner.admissible(self._shift(lam))
 
     def _value_sorted(self, ls):
         return self.inner.value(self._shift(ls))
 
     def _gradient_sorted(self, ls):
         g1 = self.inner.gradient(self._shift(ls))
-        g2 = self.inner2.gradient(ls)
-        return g1 + self.delta * g2 * np.sum(g1, axis=-1, keepdims=True)
-
-    def _quadform(self, lam, b):
-        y = self._shift(lam)
-        g2 = self.inner2.gradient(lam)
-        mb = b + self.delta * np.sum(g2 * b, axis=-1, keepdims=True)
-        g1sum = np.sum(self.inner.gradient(y), axis=-1)
-        q2 = self.inner2.hessian_quadform(lam, b)
-        return self.inner.hessian_quadform(y, mb) + self.delta * g1sum * q2
-
-
-@dataclass(frozen=True)
-class RicciComposite(CurvatureOperator):
-    """Inner operator evaluated on the Ricci eigenvalues.
-
-    The shift ``mu = lam + sum(lam)/(n-2)`` turns an equation on Schouten
-    eigenvalues into one on Ricci eigenvalues; this is the degree-1 linear
-    instance of :class:`Shifted`.
-    """
-
-    n: int
-    inner: CurvatureOperator
-
-    def __post_init__(self):
-        cones._check_dim(self.n)
-        if self.inner.n != self.n:
-            raise DomainError("RicciComposite inner operator must share n")
-
-    @property
-    def alpha(self):
-        return self.inner.alpha
-
-    @property
-    def delta(self):
-        return 1.0 / (self.n - 2)
-
-    @property
-    def cone(self):
-        return cones.Positivity(self)
-
-    def descriptor(self):
-        return f"ricci:inner={self.inner.descriptor()}"
-
-    def admissible(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(**_QUIET):
-            return (np.sum(lam, axis=-1) > 0.0) & self.inner.admissible(ricci_map(lam))
-
-    def _value_sorted(self, ls):
-        return self.inner.value(ricci_map(ls))
-
-    def _gradient_sorted(self, ls):
-        g1 = self.inner.gradient(ricci_map(ls))
         return g1 + self.delta * np.sum(g1, axis=-1, keepdims=True)
 
     def _quadform(self, lam, b):
         mb = b + self.delta * np.sum(b, axis=-1, keepdims=True)
-        return self.inner.hessian_quadform(ricci_map(lam), mb)
+        return self.inner.hessian_quadform(self._shift(lam), mb)
+
+
+@dataclass(frozen=True)
+class RicciComposite(Shifted):
+    """Inner operator evaluated on the Ricci eigenvalues.
+
+    The Ricci shift ``mu = lam + sum(lam)/(n-2)`` turns an equation on
+    Schouten eigenvalues into one on Ricci eigenvalues: the :class:`Shifted`
+    instance with ``delta = 1/(n-2)``.
+    """
+
+    delta: float = field(init=False)
+
+    def __post_init__(self):
+        cones._check_dim(self.n)
+        object.__setattr__(self, "delta", 1.0 / (self.n - 2))
+        super().__post_init__()
+
+    def descriptor(self):
+        return f"ricci:inner={self.inner.descriptor()}"
+
+
+def _admitted(spec, lam):
+    """Validate ``lam`` and raise :class:`AdmissibilityError`, naming the
+    violated condition of the first offending tuple, unless every tuple lies
+    in the cone of ``spec``."""
+    lam = as_eigentuple(lam, spec.n)
+    ok = spec.admissible(lam)
+    if not np.all(ok):
+        bad = lam.reshape(-1, spec.n)[np.flatnonzero(~ok)[0]]
+        raise AdmissibilityError(f"tuple outside the cone of {spec.descriptor()}",
+                                 condition=spec.cone.violation(bad))
+    return lam
 
 
 def eval_op(spec, lam):
     """Evaluate ``spec`` at ``lam`` after verifying cone admissibility."""
-    lam = as_eigentuple(lam, spec.n)
-    ok = spec.admissible(lam)
-    if not np.all(ok):
-        bad = lam if lam.ndim == 1 else lam[np.argwhere(~ok)[0][0]]
-        raise AdmissibilityError(
-            f"tuple outside the cone of {spec.descriptor()}",
-            condition=_violation_text(spec, bad))
-    return spec.value(lam)
+    return spec.value(_admitted(spec, lam))
 
 
 def grad_op(spec, lam, return_smooth=False):
@@ -560,13 +521,7 @@ def grad_op(spec, lam, return_smooth=False):
     non-smooth points (tied PucciMin subsets), where the returned vector is
     one subgradient selection.
     """
-    lam = as_eigentuple(lam, spec.n)
-    ok = spec.admissible(lam)
-    if not np.all(ok):
-        bad = lam if lam.ndim == 1 else lam[np.argwhere(~ok)[0][0]]
-        raise AdmissibilityError(
-            f"tuple outside the cone of {spec.descriptor()}",
-            condition=_violation_text(spec, bad))
+    lam = _admitted(spec, lam)
     if return_smooth:
         return spec.gradient_flagged(lam)
     return spec.gradient(lam)
@@ -579,18 +534,7 @@ def concavity_quadform(spec, lam, b):
     PucciMin the value is the directional midpoint concavity defect instead.
     Nonpositive (up to tolerance) everywhere on the cone by concavity.
     """
-    lam = as_eigentuple(lam, spec.n)
-    if not np.all(spec.admissible(lam)):
-        raise AdmissibilityError(f"tuple outside the cone of {spec.descriptor()}")
-    return spec.hessian_quadform(lam, b)
-
-
-def _violation_text(spec, lam):
-    cone = spec.cone
-    try:
-        return cone.violation(np.asarray(lam, dtype=float))
-    except Exception:
-        return None
+    return spec.hessian_quadform(_admitted(spec, lam), b)
 
 
 @dataclass(frozen=True)
@@ -723,35 +667,18 @@ def parse_operator(text, n):
     """Parse the canonical textual operator forms.
 
     ``sigma-root:k=2``, ``quotient:k=2,l=1``, ``pucci:k=1,delta=0.25``,
-    ``inv-power``, ``inv-monomial:k=3``, ``ricci:inner=<operator>``.
+    ``inv-power``, ``inv-monomial:k=3``, ``shifted:delta=D,inner=<operator>``,
+    ``ricci:inner=<operator>``.
     """
-    from .errors import UsageError
-
-    head, _, rest = text.partition(":")
-    if head == "ricci":
-        if not rest.startswith("inner="):
-            raise UsageError("ricci operator must be written ricci:inner=<operator>")
-        return RicciComposite(n=n, inner=parse_operator(rest[len("inner="):], n))
-    fields = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise UsageError(f"operator field '{item}' is not key=value")
-            fields[key.strip()] = val.strip()
-    try:
-        if head == "sigma-root":
-            return SigmaKRoot(n=n, k=int(fields["k"]))
-        if head == "quotient":
-            return Quotient(n=n, k=int(fields["k"]), l=int(fields["l"]))
-        if head == "pucci":
-            return PucciMin(n=n, k=int(fields["k"]), delta=float(fields.get("delta", 0.0)))
-        if head == "inv-power":
-            return InvPowerSum(n=n)
-        if head == "inv-monomial":
-            return InvMonomialSum(n=n, k=int(fields["k"]))
-    except KeyError as exc:
-        raise UsageError(f"operator '{text}' is missing field {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"operator '{text}': {exc}") from exc
-    raise UsageError(f"unknown operator '{head}'")
+    return parse_descriptor(text, "operator", {
+        "sigma-root": (("k",), lambda f: SigmaKRoot(n=n, k=int(f["k"]))),
+        "quotient": (("k", "l"), lambda f: Quotient(n=n, k=int(f["k"]), l=int(f["l"]))),
+        "pucci": (("k", "delta"), lambda f: PucciMin(
+            n=n, k=int(f["k"]), delta=float(f.get("delta", 0.0)))),
+        "inv-power": ((), lambda f: InvPowerSum(n=n)),
+        "inv-monomial": (("k",), lambda f: InvMonomialSum(n=n, k=int(f["k"]))),
+        "shifted": (("delta", "inner"), lambda f: Shifted(
+            n=n, inner=parse_operator(f["inner"], n), delta=float(f["delta"]))),
+        "ricci": (("inner",), lambda f: RicciComposite(
+            n=n, inner=parse_operator(f["inner"], n))),
+    })

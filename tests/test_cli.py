@@ -54,6 +54,44 @@ def test_unknown_subcommand_and_operator_are_usage_errors(capsys):
     assert code == 3
 
 
+#: Arguments completing a command for each descriptor flag, and malformed
+#: descriptors for it: an unknown head, an unknown key, a duplicate key and
+#: a key without a value.
+DESCRIPTOR_COMMANDS = {
+    "--op": ["eval", "--n", "3", "--lambda", "3,1,2"],
+    "--cone": ["cone", "--n", "3", "--lambda", "1,1,1"],
+    "--profile": ["schouten", "--n", "3", "--x", "0.5,0,0"],
+    "--background": ["schouten", "--n", "3", "--x", "0.5,0,0", "--profile", "const:c=1"],
+}
+MALFORMED_DESCRIPTORS = {
+    "--op": ["mystery:k=1", "pucci:k=1,delt=0.25", "sigma-root:k=2,k=3", "sigma-root:k"],
+    "--cone": ["wedge:k=2", "gamma:kk=2", "gamma:k=2,k=3", "gamma:k="],
+    "--profile": ["blob:scale=1", "bubble:scal=0.5", "bubble:scale=1,scale=2", "bubble:scale"],
+    "--background": ["torus:a=1", "sphere:radius=2", "sphere:a=1,a=2", "sphere:a"],
+}
+
+
+@pytest.mark.parametrize("flag", list(MALFORMED_DESCRIPTORS))
+def test_malformed_descriptors_are_usage_errors(capsys, flag):
+    for text in MALFORMED_DESCRIPTORS[flag]:
+        code, _, err = run(capsys, *DESCRIPTOR_COMMANDS[flag], flag, text)
+        assert code == 3, text
+        assert err.startswith("usage error"), text
+
+
+def test_out_of_range_inputs_exit_one_without_traceback(capsys):
+    for argv in (["cone", "--cone", "gamma:k=2", "--n", "3", "--lambda", "inf,1,1"],
+                 ["cone", "--cone", "gamma:k=2", "--n", "3", "--lambda", "nan,1,1"],
+                 ["inclusion", "--k", "2", "--n", "3", "--samples", "0"],
+                 ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "grad",
+                  "--radius", "0"],
+                 ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "hess",
+                  "--radius", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and err.startswith("error:"), argv
+
+
 def test_cone_outside_message_and_exit(capsys):
     code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
                        "--lambda", "1,1,-0.5")

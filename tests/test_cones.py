@@ -56,6 +56,12 @@ def test_boundary_shift_bisection_against_dense_scan():
     assert ts[flip[0]] <= t_star <= ts[flip[0] + 1]
 
 
+def test_boundary_shift_rejects_non_finite_tuples():
+    for bad in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, -np.inf, 1.0]]):
+        with pytest.raises(DomainError):
+            cones.boundary_shift(cones.GammaK(3, 2), bad)
+
+
 def test_boundary_shift_transition_property():
     rng = np.random.default_rng(2)
     for cone in (cones.GammaK(4, 2), cones.GammaK(5, 3), cones.SigmaDelta(4, 0.25),
@@ -166,6 +172,8 @@ def test_min_k_positive_ricci():
 def test_parse_cone():
     assert cones.parse_cone("gamma:k=2", 4) == cones.GammaK(4, 2)
     assert cones.parse_cone("sigma:delta=0.25", 4) == cones.SigmaDelta(4, 0.25)
+    for text in ("gamma:k=2", "sigma:delta=0.25", f"sigma:delta={1 / 6!r}"):
+        assert cones.parse_cone(text, 4).descriptor() == text
     with pytest.raises(UsageError):
         cones.parse_cone("gamma", 4)
     with pytest.raises(UsageError):

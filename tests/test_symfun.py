@@ -167,6 +167,13 @@ def test_quadform_linear_operator_vanishes():
     assert np.allclose(spec.hessian_quadform(lam, b), 0.0)
 
 
+def test_quadform_rejects_inadmissible_with_condition():
+    lam = [[1.0, 1.0, 1.0], [1.0, 1.0, -0.5]]
+    with pytest.raises(AdmissibilityError) as err:
+        symfun.concavity_quadform(symfun.SigmaKRoot(n=3, k=2), lam, np.ones((2, 3)))
+    assert "sigma_2" in err.value.condition
+
+
 def test_quadform_frozen_symmetric_point_value():
     # Oracle: f = (l1 l2 l3)^(1/3) restricted to the line (1+t, 1-t, 1) is
     # (1 - t^2)^(1/3), whose second derivative at t = 0 is -2/3; the same
@@ -278,7 +285,9 @@ def test_verify_axioms_requires_positive_samples():
 
 def test_parse_operator_round_trip():
     texts = ["sigma-root:k=2", "quotient:k=2,l=1", "pucci:k=1,delta=0.25",
-             "inv-power", "inv-monomial:k=3", "ricci:inner=sigma-root:k=2"]
+             "inv-power", "inv-monomial:k=3", "ricci:inner=sigma-root:k=2",
+             f"pucci:k=1,delta={1 / 3!r}", "shifted:delta=0.5,inner=quotient:k=2,l=1",
+             "ricci:inner=quotient:k=2,l=1"]
     for text in texts:
         spec = symfun.parse_operator(text, 4)
         assert spec.descriptor() == text
@@ -296,16 +305,14 @@ def test_operator_invariant_validation():
     with pytest.raises(DomainError):
         symfun.InvMonomialSum(n=4, k=0)
     with pytest.raises(DomainError):
-        symfun.Shifted(n=4, inner=symfun.SigmaKRoot(n=4, k=2), delta=0.0,
-                       inner2=symfun.SigmaKRoot(n=4, k=1))
+        symfun.Shifted(n=4, inner=symfun.SigmaKRoot(n=4, k=2), delta=0.0)
 
 
 def test_shifted_general_composition():
-    # delta = 1/(n-2) with inner2 = sigma_1 must agree with RicciComposite.
+    # delta = 1/(n-2) must agree with RicciComposite.
     n = 5
     inner = symfun.SigmaKRoot(n=n, k=2)
-    shifted = symfun.Shifted(n=n, inner=inner, delta=1.0 / (n - 2),
-                             inner2=symfun.SigmaKRoot(n=n, k=1))
+    shifted = symfun.Shifted(n=n, inner=inner, delta=1.0 / (n - 2))
     ricci = symfun.RicciComposite(n=n, inner=inner)
     rng = np.random.default_rng(41)
     lam = cones.sample_cone(ricci.cone, 50, rng)
