@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 domain/admissibility error, 2 numeric failure,
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -217,14 +218,10 @@ def _cmd_kelvin(args):
     return 0
 
 
-def _solve_payload(result):
-    return result.to_dict()
-
-
 def _cmd_solve(args):
     cfg = _solver_config(args)
     result = radial_solver.newton_solve(cfg)
-    payload = {"config": cfg.to_dict(), "result": _solve_payload(result)}
+    payload = {"config": cfg.to_dict(), "result": result.to_dict()}
     lines = [f"converged: {result.converged} after {result.newton_steps} Newton steps",
              f"residual max-norm: {_fmt(result.residual_norm)}",
              f"worst admissibility margin: {_fmt(float(np.min(-result.margins)))}"]
@@ -244,7 +241,7 @@ def _cmd_continue_p(args):
     payload = {"config": cfg.to_dict(), "schedule": schedule[:len(results)],
                "converged": [r.converged for r in results],
                "sup_distances": dists,
-               "results": [_solve_payload(r) for r in results]}
+               "results": [r.to_dict() for r in results]}
     lines = [f"p={_fmt(p)}: converged={r.converged} steps={r.newton_steps}"
              for p, r in zip(schedule, results)]
     _emit(args, payload, text_lines=lines)
@@ -303,6 +300,11 @@ def _cmd_harnack(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -0.5,1,1 is a value: no option of this parser starts with -<number>
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -14,15 +14,17 @@ Membership is strict (the cones are open); callers that need robustness
 inspect the margin returned by :func:`boundary_shift`.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _poly
-from .errors import DomainError, parse_descriptor
+from .errors import DomainError, NumericError, parse_descriptor
 
-#: Relative tolerance for bisection-based boundary location.
-BOUNDARY_TOL = 1e-12
+#: Newton stops once its step falls below this fraction of max |lam_i|.
+NEWTON_STEP_TOL = 1e-13
+#: Cap on Newton steps; Gaussian rows at n <= 8 need at most 9.
+NEWTON_MAX_STEPS = 100
 
 
 def _check_dim(n):
@@ -45,6 +47,28 @@ class GammaK:
     def contains(self, lam):
         e = _poly.elementary_all(lam, self.k)
         return np.all(e[..., 1:] > 0.0, axis=-1)
+
+    def diagonal_shift(self, lam):
+        """Largest root ``t*`` of ``q(t) = sigma_k(lam + t 1)``, real-rooted as
+        GammaK is its hyperbolicity cone (Garding).  Newton starts right of
+        ``t*`` at ``-min lam_i`` (the closed orthant), where ``q`` is increasing
+        and convex, so the iterates fall monotonically to ``t*``."""
+        n, k = self.n, self.k
+        t = -np.mean(lam, axis=-1) if k == 1 else -np.min(lam, axis=-1)
+        if k in (1, n):
+            return t
+        tol = NEWTON_STEP_TOL * np.max(np.abs(lam), axis=-1)
+        rows = np.arange(t.size)
+        for _ in range(NEWTON_MAX_STEPS):
+            # q and q'/(n-k+1), copied out of the batch; q or q' <= 0 is rounding at t*
+            q, dq = _poly.elementary_all(lam[rows] + t[rows, None], k)[:, [k, k - 1]].T
+            move = (q > 0.0) & (dq > 0.0)
+            rows, step = rows[move], q[move] / ((n - k + 1) * dq[move])
+            t[rows] -= step
+            rows = rows[step > tol[rows]]
+            if rows.size == 0:
+                return t
+        raise NumericError(f"{self.descriptor()}: boundary Newton hit {NEWTON_MAX_STEPS} steps")
 
     def violation(self, lam):
         """Text of the first violated condition, or None if inside."""
@@ -78,6 +102,9 @@ class SigmaDelta:
     def contains(self, lam):
         return self.margin_value(lam) > 0.0
 
+    def diagonal_shift(self, lam):
+        return -self.margin_value(lam) / (1.0 + self.n * self.delta)
+
     def violation(self, lam):
         val = float(self.margin_value(lam))
         if not val > 0.0:
@@ -92,7 +119,9 @@ class SigmaDelta:
 class Positivity:
     """Cone where an operator's evaluation chain is defined and positive.
 
-    ``spec`` is any object exposing ``n`` and ``admissible(lam) -> bool``.
+    ``spec`` is any object exposing ``n``, ``admissible(lam) -> bool`` and
+    ``diagonal_shift(lam)``, the shift ``t*`` that puts ``lam + t* (1,..,1)``
+    on the boundary of the admissible set.
     """
 
     spec: object
@@ -103,6 +132,9 @@ class Positivity:
 
     def contains(self, lam):
         return self.spec.admissible(lam)
+
+    def diagonal_shift(self, lam):
+        return self.spec.diagonal_shift(lam)
 
     def violation(self, lam):
         if not bool(self.spec.admissible(lam)):
@@ -129,58 +161,26 @@ def cone_violation(cone, lam):
     return cone.violation(lam)
 
 
-def boundary_shift(cone, lam, tol=BOUNDARY_TOL):
+def boundary_shift(cone, lam):
     """Shift ``t*`` along the diagonal with ``lam + t* (1,..,1)`` on the boundary.
 
     Negative ``t*`` means ``lam`` is interior and ``-t*`` is its margin along
     the diagonal direction.  Membership along the diagonal is monotone (every
     supported cone is convex and contains the positive diagonal ray), so the
-    crossing is unique; ``SigmaDelta`` is solved in closed form, the other
-    cones by bisection to ``tol`` relative accuracy.  Non-finite tuples have
-    no crossing and raise :class:`DomainError`.
+    crossing is unique and each cone's ``diagonal_shift`` locates it exactly,
+    on rows scaled by a power of two to ``1 <= max |lam_i| < 2`` (``t*`` is
+    homogeneous, and no symmetric polynomial overflows).  Non-finite tuples
+    have no crossing and raise :class:`DomainError`.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != cone.n:
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
     if not np.all(np.isfinite(lam)):
         raise DomainError("boundary_shift requires finite tuples")
-    if isinstance(cone, SigmaDelta):
-        return -cone.margin_value(lam) / (1.0 + cone.n * cone.delta)
-
-    squeeze = lam.ndim == 1
-    pts = np.atleast_2d(lam)
-    m = pts.shape[0]
-
-    def inside(t):
-        return cone.contains(pts + t[:, None])
-
-    scale = 1.0 + np.max(np.abs(pts), axis=-1)
-    zero = np.zeros(m)
-    inside0 = inside(zero)
-
-    # Bracket: hi inside the cone, lo outside.
-    hi = np.where(inside0, 0.0, scale)
-    need = ~inside(hi)
-    while np.any(need):
-        hi = np.where(need, 2.0 * hi + scale, hi)
-        need = ~inside(hi)
-    lo = np.where(inside0, -scale, 0.0)
-    need = inside(lo)
-    while np.any(need):
-        lo = np.where(need, 2.0 * lo - scale, lo)
-        need = inside(lo)
-
-    for _ in range(200):
-        gap = hi - lo
-        bound = tol * (1.0 + np.abs(hi) + np.abs(lo))
-        if np.all(gap <= bound):
-            break
-        mid = 0.5 * (lo + hi)
-        ok = inside(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    out = 0.5 * (lo + hi)
-    return out[0] if squeeze else out.reshape(lam.shape[:-1])
+    pts = lam.reshape(-1, cone.n)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(pts), axis=-1))[1] - 1)
+    t = cone.diagonal_shift(pts / scale[:, None]) * scale
+    return t.reshape(lam.shape[:-1])[()]
 
 
 def sample_cone(cone, size, rng=None, fraction_range=(1e-3, 1.0)):
@@ -189,13 +189,11 @@ def sample_cone(cone, size, rng=None, fraction_range=(1e-3, 1.0)):
     Gaussian proposals are projected to the cone boundary along the diagonal
     (via :func:`boundary_shift`) and then stepped inside by a uniformly drawn
     fraction of the local scale, which produces samples at widely varied
-    distances from the boundary.  The boundary is located far more coarsely
-    than the public tolerance: the inward step dominates any 1e-6 slack.
+    distances from the boundary.
     """
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal((size, cone.n))
-    t = boundary_shift(cone, g, tol=1e-6)
+    t = boundary_shift(cone, g)
     u = rng.uniform(fraction_range[0], fraction_range[1], size)
     step = u * np.maximum(np.abs(t), 1.0)
     return g + (t + step)[:, None]
@@ -213,14 +211,7 @@ class InclusionReport:
     worst_margin: float
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "n": self.n,
-            "delta": self.delta,
-            "samples": self.samples,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-        }
+        return asdict(self)
 
 
 def inclusion_delta(k, n):

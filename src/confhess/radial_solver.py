@@ -46,8 +46,8 @@ class SolverConfig:
     ``boundary_left`` is a positive value or ``"symmetry"`` (requires
     ``r0 = 0``); ``initial_guess`` accepts ``"geometric"``, a catalog
     profile descriptor (optionally via a dict with a ``sin_amplitude``
-    perturbation), an explicit array of node values, a radial profile
-    object, or a callable of r.
+    perturbation, even about r0 at a symmetry boundary), an explicit array of
+    node values, a radial profile object, or a callable of r.
     """
 
     operator: object
@@ -288,14 +288,10 @@ def admissibility_margins(cfg, v):
     Strict admissibility at a node means a negative value; the margin is its
     absolute value."""
     lam = node_eigentuples(cfg, np.asarray(v, dtype=float))
-    bad = ~np.all(np.isfinite(lam), axis=1)
-    if np.any(bad):
-        out = np.full(lam.shape[0], np.nan)
-        good = ~bad
-        if np.any(good):
-            out[good] = cones.boundary_shift(cfg.admissibility_cone, lam[good])
-        return out
-    return cones.boundary_shift(cfg.admissibility_cone, lam)
+    good = np.all(np.isfinite(lam), axis=1)
+    out = np.full(lam.shape[0], np.nan)
+    out[good] = cones.boundary_shift(cfg.admissibility_cone, lam[good])
+    return out
 
 
 def jacobian(cfg, v):
@@ -367,7 +363,10 @@ def initial_vector(cfg):
             v0 = np.asarray(prof.radial_value(r), dtype=float)
             amp = float(guess.get("sin_amplitude", 0.0))
             if amp:
-                v0 = v0 * (1.0 + amp * np.sin(np.pi * (r - r[0]) / (r[-1] - r[0])))
+                arg = np.pi * (r - r[0]) / (r[-1] - r[0])
+                # the ghost node mirrors v at a symmetry boundary: a slope there is a kink
+                bump = np.cos(0.5 * arg) if cfg.boundary_left == "symmetry" else np.sin(arg)
+                v0 = v0 * (1.0 + amp * bump)
         elif kind == "values":
             v0 = np.asarray(guess["values"], dtype=float)
         else:

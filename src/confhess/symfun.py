@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _poly, cones
-from .errors import AdmissibilityError, DomainError, parse_descriptor
+from .errors import AdmissibilityError, DomainError, NumericError, parse_descriptor
 
 #: Type used for eigenvalue tuples throughout the package: the trailing axis
 #: holds the n eigenvalues; leading axes are broadcast batch axes.
@@ -287,6 +287,10 @@ class PucciMin(CurvatureOperator):
     def admissible(self, lam):
         return self.value(lam) > 0.0
 
+    def diagonal_shift(self, lam):
+        # f is linear along the diagonal: f(lam + t 1) = f(lam) + (n delta + k) t.
+        return -self.value(lam) / (self.n * self.delta + self.k)
+
     def _value_sorted(self, ls):
         return self.delta * np.sum(ls, axis=-1) + np.sum(ls[..., :self.k], axis=-1)
 
@@ -464,6 +468,11 @@ class Shifted(CurvatureOperator):
         with np.errstate(**_QUIET):
             return (np.sum(lam, axis=-1) > 0.0) & self.inner.admissible(self._shift(lam))
 
+    def diagonal_shift(self, lam):
+        # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1.
+        inner = self.inner.cone.diagonal_shift(self._shift(lam))
+        return np.maximum(-np.mean(lam, axis=-1), inner / (1.0 + self.n * self.delta))
+
     def _value_sorted(self, ls):
         return self.inner.value(self._shift(ls))
 
@@ -509,9 +518,16 @@ def _admitted(spec, lam):
     return lam
 
 
+def _finite(spec, out):
+    """``out``, or :class:`NumericError` if admissible input overflowed."""
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"{spec.descriptor()} overflowed to a non-finite result")
+    return out
+
+
 def eval_op(spec, lam):
     """Evaluate ``spec`` at ``lam`` after verifying cone admissibility."""
-    return spec.value(_admitted(spec, lam))
+    return _finite(spec, spec.value(_admitted(spec, lam)))
 
 
 def grad_op(spec, lam, return_smooth=False):
@@ -523,8 +539,9 @@ def grad_op(spec, lam, return_smooth=False):
     """
     lam = _admitted(spec, lam)
     if return_smooth:
-        return spec.gradient_flagged(lam)
-    return spec.gradient(lam)
+        grad, smooth = spec.gradient_flagged(lam)
+        return _finite(spec, grad), smooth
+    return _finite(spec, spec.gradient(lam))
 
 
 def concavity_quadform(spec, lam, b):
@@ -534,7 +551,7 @@ def concavity_quadform(spec, lam, b):
     PucciMin the value is the directional midpoint concavity defect instead.
     Nonpositive (up to tolerance) everywhere on the cone by concavity.
     """
-    return spec.hessian_quadform(_admitted(spec, lam), b)
+    return _finite(spec, spec.hessian_quadform(_admitted(spec, lam), b))
 
 
 @dataclass(frozen=True)

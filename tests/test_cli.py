@@ -92,6 +92,39 @@ def test_out_of_range_inputs_exit_one_without_traceback(capsys):
         assert out == "" and err.startswith("error:"), argv
 
 
+def test_overflow_is_a_numeric_failure_or_a_correct_margin(capsys):
+    # lam = (a, a, 1) with a = 1e308: sigma_2(lam + t 1) = (a + t)(3 t + a + 2), so
+    # the margin is (a + 2)/3, though sigma_2(lam) itself overflows
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
+                       "--lambda", "1e308,1e308,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["boundary_shift"] == pytest.approx(-1e308 / 3, rel=1e-15)
+    for command in ("eval", "grad"):
+        code, out, err = run(capsys, command, "--op", "sigma-root:k=2", "--n", "3",
+                             "--lambda", "1e308,1e308,1")
+        assert code == 2, command
+        assert out == "" and err.startswith("numeric failure:"), command
+
+
+def test_number_lists_may_start_with_a_minus_sign(capsys, monkeypatch, tmp_path):
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
+                       "--lambda", "-0.5,1,1")
+    assert code == 1 and "sigma_2" in out
+    code, out, _ = run(capsys, "schouten", "--profile", "bubble:scale=1", "--n", "4",
+                       "--x", "-0.5,0,0,0")
+    assert code == 0
+    assert np.allclose([float(t) for t in out.split(",")], 2.0, atol=1e-10)
+    code, _, err = run(capsys, "bishop-gromov", "--profile", "bubble:scale=1", "--n", "4",
+                       "--radii", "-1,2")
+    assert code == 1 and "radii" in err
+    seen = []
+    monkeypatch.setattr(radial_solver, "continuation_p",
+                        lambda cfg, schedule: seen.append(schedule) or [])
+    code, _, _ = run(capsys, "continue-p", "--config", str(write_bubble_config(tmp_path)),
+                     "--p-schedule", "-1,2.5")
+    assert code == 0 and seen == [[-1.0, 2.5]]
+
+
 def test_cone_outside_message_and_exit(capsys):
     code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
                        "--lambda", "1,1,-0.5")

@@ -4,9 +4,60 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confhess import cones, symfun
-from confhess.errors import DomainError, UsageError
+from confhess.errors import DomainError, NumericError, UsageError
+
+
+def _oracle_scale(lam):
+    """Power of two that brings max |lam_i| of each row into [1/2, 1)."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(lam), axis=-1))[1])
+
+
+def bisection_shift(cone, lam, tol=1e-14):
+    """Reference boundary shift: bisect membership along the diagonal.
+
+    On rows scaled to max |lam_i| < 1, ``t = -1`` makes every entry negative
+    (outside every cone here) and ``t = 1`` every entry positive (inside),
+    so [-1, 1] brackets the crossing; halving runs to ``tol`` of the scale.
+    """
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    scale = _oracle_scale(lam)
+    x = lam / scale[:, None]
+    lo, hi = np.full(len(x), -1.0), np.full(len(x), 1.0)
+    assert not np.any(cone.contains(x + lo[:, None]))
+    assert np.all(cone.contains(x + hi[:, None]))
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        ok = cone.contains(x + mid[:, None])
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return 0.5 * (lo + hi) * scale
+
+
+@st.composite
+def rows(draw, n):
+    """One row of n entries: generic, two-valued (a, b, .., b), all equal, or
+    tied at the minimum; permuted and scaled by 10^-300 .. 10^300."""
+    unit = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(("generic", "two-valued", "all-equal", "tied-min")))
+    if kind == "generic":
+        x = [draw(unit) for _ in range(n)]
+    elif kind == "two-valued":
+        x = [draw(unit)] + [draw(unit)] * (n - 1)
+    elif kind == "all-equal":
+        x = [draw(unit)] * n
+    else:
+        low, ties = draw(unit), draw(st.integers(2, n - 1))
+        x = [low] * ties + [draw(st.floats(low, 1.0)) for _ in range(n - ties)]
+    x = np.array(x)[draw(st.permutations(range(n)))]
+    return x * 10.0 ** draw(st.integers(-300, 300))
+
+
+def assert_matches_oracle(cone, lam):
+    t = float(cones.boundary_shift(cone, lam))
+    assert abs(t - float(bisection_shift(cone, lam)[0])) <= 1e-10 * _oracle_scale(lam)
 
 
 def test_gamma_membership_examples():
@@ -54,6 +105,58 @@ def test_boundary_shift_bisection_against_dense_scan():
     flip = np.flatnonzero(np.diff(inside.astype(int)))
     assert flip.size == 1
     assert ts[flip[0]] <= t_star <= ts[flip[0] + 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_gamma_boundary_shift_matches_bisection(data):
+    n = data.draw(st.integers(3, 8))
+    k = data.draw(st.integers(1, n))
+    assert_matches_oracle(cones.GammaK(n, k), data.draw(rows(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pucci_boundary_shift_matches_bisection(data):
+    n = data.draw(st.integers(3, 8))
+    pucci = symfun.PucciMin(n=n, k=data.draw(st.integers(1, n)),
+                            delta=data.draw(st.floats(0.0, 2.0)))
+    assert_matches_oracle(pucci.cone, data.draw(rows(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_shift_boundary_shift_matches_bisection(data):
+    n = data.draw(st.integers(3, 8))
+    k = data.draw(st.integers(1, n))
+    inner = data.draw(st.sampled_from((
+        symfun.SigmaKRoot(n=n, k=k), symfun.Quotient(n=n, k=k, l=k - 1),
+        symfun.PucciMin(n=n, k=k, delta=0.25), symfun.InvPowerSum(n=n))))
+    if data.draw(st.booleans()):
+        op = symfun.RicciComposite(n=n, inner=inner)
+    else:
+        op = symfun.Shifted(n=n, inner=inner, delta=data.draw(st.floats(0.01, 2.0)))
+    assert_matches_oracle(op.cone, data.draw(rows(n)))
+
+
+def test_boundary_shift_two_valued_rows_closed_form():
+    # at (a, b, .., b), sigma_k = b^(k-1) (C(n-1,k) b + C(n-1,k-1) a), so the
+    # roots of sigma_k(lam + t 1) are -b and -(k a + (n - k) b)/n
+    rng = np.random.default_rng(9)
+    for n in range(3, 9):
+        ab = rng.normal(size=(500, 2))
+        lam = np.hstack([ab[:, :1], np.repeat(ab[:, 1:], n - 1, axis=1)])
+        for k in range(2, n):
+            t = cones.boundary_shift(cones.GammaK(n, k), lam)
+            expected = np.maximum(-ab[:, 1], -(k * ab[:, 0] + (n - k) * ab[:, 1]) / n)
+            assert np.allclose(t, expected, rtol=0.0, atol=1e-13)
+
+
+def test_boundary_shift_newton_cap_raises(monkeypatch):
+    # this row needs more than one Newton step from t = -min lam_i
+    monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(NumericError):
+        cones.boundary_shift(cones.GammaK(4, 2), [-1.0, 1.0, 2.0, 3.0])
 
 
 def test_boundary_shift_rejects_non_finite_tuples():

@@ -218,6 +218,24 @@ def test_newton_symmetry_ball():
     assert np.max(np.abs(out.v - bub.radial_value(out.r))) < 2e-3
 
 
+def test_sin_amplitude_guess_is_even_at_a_symmetry_boundary():
+    # the sine's slope at r0 = 0 was a kink once mirrored by the ghost node,
+    # which made the initial guess inadmissible at node 0
+    bub = cf.bubble_profile(N_DIM)
+    cfg = rs.SolverConfig(operator=symfun.SigmaKRoot(n=N_DIM, k=2),
+                          domain=(0.0, 2.0), grid=64, rhs=PHI_BUBBLE,
+                          boundary_left="symmetry",
+                          boundary_right=float(bub.radial_value(2.0)),
+                          initial_guess={"kind": "profile", "name": "bubble:scale=1",
+                                         "sin_amplitude": 0.05})
+    v0 = rs.initial_vector(cfg)
+    assert v0[0] == pytest.approx(1.05 * bub.radial_value(0.0), rel=1e-15)
+    assert v0[-1] == pytest.approx(float(bub.radial_value(2.0)), rel=1e-15)
+    out = rs.newton_solve(cfg)
+    assert out.converged
+    assert np.max(np.abs(out.v - bub.radial_value(out.r))) < 2e-3
+
+
 def test_residual_descent_along_history():
     cfg = bubble_cfg(grid=48)
     out = rs.newton_solve(cfg)
