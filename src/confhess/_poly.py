@@ -3,11 +3,22 @@
 All routines accept arrays whose trailing axis indexes the eigenvalues and
 broadcast over every leading axis, so callers can evaluate thousands of
 sample tuples in a handful of vectorized passes.
+
+The product recurrences run coefficient-major: the coefficients live in
+contiguous planes of shape ``(k + 1, ...)``, each eigenvalue column is
+copied once into a contiguous array of the batch shape, and every update is
+one contiguous multiply-add over the whole batch.  Results are returned as
+trailing-axis views ``(..., k + 1)`` of those planes.
 """
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def _check_degree(k, n):
+    if not 0 <= k <= n:
+        raise DomainError(f"degree k={k} outside 0..n={n}")
 
 
 def elementary_all(lam, k):
@@ -30,17 +41,38 @@ def elementary_all(lam, k):
         Entry ``[..., j]`` holds ``e_j(lam)``; ``e_0 = 1``.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= k <= n:
-        raise DomainError(f"degree k={k} outside 0..n={n}")
-    coef = np.zeros(lam.shape[:-1] + (k + 1,))
-    coef[..., 0] = 1.0
-    for j in range(n):
+    _check_degree(k, lam.shape[-1])
+    coef = np.zeros((k + 1,) + lam.shape[:-1])
+    coef[0] = 1.0
+    for j in range(lam.shape[-1]):
         top = min(j + 1, k)
-        # RHS is materialized before assignment, so the overlapping slices
-        # of `coef` are safe.
-        coef[..., 1:top + 1] = coef[..., 1:top + 1] + lam[..., j:j + 1] * coef[..., 0:top]
-    return coef
+        coef[1:top + 1] += np.ascontiguousarray(lam[..., j]) * coef[0:top]
+    return np.moveaxis(coef, 0, -1)
+
+
+def elementary_jet(lam, b, k):
+    """Second-order Taylor jets of ``e_0 .. e_k`` along the direction ``b``.
+
+    Runs the product recurrence of :func:`elementary_all` on
+    ``prod_i (1 + (lam_i + s b_i) t)`` with every coefficient kept as a
+    polynomial in ``s`` truncated at ``s^2``.  Returns ``(c0, c1, c2)``, each
+    of shape ``(..., k + 1)``, with ``e_j(lam + s b) = c0 + c1 s + c2 s^2 +
+    O(s^3)``: ``c0`` equals :func:`elementary_all` bitwise, ``c1[..., j] =
+    b . grad e_j`` and ``2 c2[..., j] = b^T (d2 e_j) b``.  The cost is
+    ``O(n k)`` per tuple, with no pairwise Hessian entries.
+    """
+    lam, b = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(b, dtype=float))
+    _check_degree(k, lam.shape[-1])
+    c = np.zeros((3, k + 1) + lam.shape[:-1])
+    c[0, 0] = 1.0
+    for j in range(lam.shape[-1]):
+        top = min(j + 1, k)
+        lo = c[:, 0:top]
+        # (x + s y)(c0 + c1 s + c2 s^2) = x c0 + (x c1 + y c0) s + (x c2 + y c1) s^2
+        step = np.ascontiguousarray(lam[..., j]) * lo
+        step[1:] += np.ascontiguousarray(b[..., j]) * lo[:-1]
+        c[:, 1:top + 1] += step
+    return tuple(np.moveaxis(c, 1, -1))
 
 
 def sigma(lam, k):
@@ -62,26 +94,6 @@ def elementary_excluding(lam, k):
     for i in range(n):
         idx = [j for j in range(n) if j != i]
         out[..., i, :] = elementary_all(lam[..., idx], k)
-    return out
-
-
-def elementary_excluding_pair(lam, k):
-    """``e_0 .. e_k`` with two distinct entries removed, for every pair.
-
-    Returns shape ``(..., n, n, k + 1)``; the diagonal ``i == j`` is filled
-    with the single-exclusion values so callers can index freely.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.empty(lam.shape[:-1] + (n, n, k + 1))
-    single = elementary_excluding(lam, k)
-    for i in range(n):
-        out[..., i, i, :] = single[..., i, :]
-        for j in range(i + 1, n):
-            idx = [m for m in range(n) if m != i and m != j]
-            e = elementary_all(lam[..., idx], k)
-            out[..., i, j, :] = e
-            out[..., j, i, :] = e
     return out
 
 

@@ -32,6 +32,40 @@ def _check_dim(n):
         raise DomainError(f"dimension n={n} must be >= 3")
 
 
+def _unit_rows(lam, j=1):
+    """``(lam / s, log2 s)``, ``s`` the power of two per row putting the product of
+    the ``j`` largest ``|lam_i|`` in ``[1, 2^(2j - 1))`` (``max |lam_i|`` in ``[1, 2)``
+    at ``j = 1``): no product of ``j`` entries of ``lam / s`` overflows, and those
+    lost to underflow are below 2^-1074 of the largest.  Partial products of fewer
+    entries still can, in rows spanning hundreds of binary orders of magnitude."""
+    lam = np.asarray(lam, dtype=float)
+    if j == 1:
+        e = np.frexp(np.max(np.abs(lam), axis=-1))[1] - 1
+    else:
+        e = np.sum(np.frexp(np.sort(np.abs(lam), axis=-1)[..., -j:])[1], axis=-1) // j - 1
+    return np.ldexp(lam, -e[..., None]), e
+
+
+def _homogeneous(fn, lam):
+    """``(v, p)``, ``fn(lam)[..., j - 1] = v[..., j - 1] * 2^(j p[..., j - 1])`` for ``fn``
+    mapping rows to values of degree ``j = 1, 2, ..``.  Rows where every value is
+    finite and nonzero keep ``fn(lam)``; on the others (overflow, inf - inf or
+    rounding to 0) value ``j`` is evaluated again on ``_unit_rows(lam, j)``."""
+    lam = np.asarray(lam, dtype=float)
+    rows = lam.reshape(-1, lam.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):    # rows with inf or NaN entries too
+        v = fn(rows)
+        redo = np.flatnonzero(np.any(~np.isfinite(v) | (v == 0.0), axis=-1))
+        p = np.broadcast_to(0, v.shape)     # no array while no row is redone
+        if redo.size:
+            p = np.zeros(v.shape, dtype=int)
+            for j in range(1, v.shape[-1] + 1):
+                x, p[redo, j - 1] = _unit_rows(rows[redo], j)
+                v[redo, j - 1] = fn(x)[:, j - 1]
+    shape = lam.shape[:-1] + v.shape[-1:]
+    return v.reshape(shape), p.reshape(shape)
+
+
 @dataclass(frozen=True)
 class GammaK:
     """Cone where sigma_1 .. sigma_k of the eigenvalues are all positive."""
@@ -44,9 +78,13 @@ class GammaK:
         if not 1 <= self.k <= self.n:
             raise DomainError(f"GammaK requires 1 <= k <= n, got k={self.k}, n={self.n}")
 
+    def _sigmas(self, lam):
+        return _homogeneous(lambda x: _poly.elementary_all(x, self.k)[..., 1:], lam)
+
     def contains(self, lam):
-        e = _poly.elementary_all(lam, self.k)
-        return np.all(e[..., 1:] > 0.0, axis=-1)
+        if self.k == self.n:
+            return np.min(lam, axis=-1) > 0.0
+        return np.all(self._sigmas(lam)[0] > 0.0, axis=-1)
 
     def diagonal_shift(self, lam):
         """Largest root ``t*`` of ``q(t) = sigma_k(lam + t 1)``, real-rooted as
@@ -72,12 +110,14 @@ class GammaK:
 
     def violation(self, lam):
         """Text of the first violated condition, or None if inside."""
-        e = _poly.elementary_all(lam, self.k)
+        if self.contains(lam):
+            return None
+        # some sigma_j <= 0; with k = n, sigma_n is the product of the lam_i
+        e, p = self._sigmas(lam)
         for j in range(1, self.k + 1):
-            val = float(e[..., j])
-            if not val > 0.0:
-                return f"sigma_{j} = {val:g} <= 0"
-        return None
+            if not e[j - 1] > 0.0:
+                with np.errstate(over="ignore"):    # sigma_j of lam itself, +-inf if it overflows
+                    return f"sigma_{j} = {np.ldexp(e[j - 1], j * p[j - 1]):g} <= 0"
 
     def descriptor(self):
         return f"gamma:k={self.k}"
@@ -99,16 +139,20 @@ class SigmaDelta:
         lam = np.asarray(lam, dtype=float)
         return np.min(lam, axis=-1) + self.delta * np.sum(lam, axis=-1)
 
+    def _margin(self, lam):
+        return _homogeneous(lambda x: self.margin_value(x)[..., None], lam)
+
     def contains(self, lam):
-        return self.margin_value(lam) > 0.0
+        return self._margin(lam)[0][..., 0] > 0.0
 
     def diagonal_shift(self, lam):
         return -self.margin_value(lam) / (1.0 + self.n * self.delta)
 
     def violation(self, lam):
-        val = float(self.margin_value(lam))
+        (val,), (p,) = self._margin(lam)
         if not val > 0.0:
-            return f"min lam_i + {self.delta:g} * sum lam_i = {val:g} <= 0"
+            with np.errstate(over="ignore"):
+                return f"min lam_i + {self.delta:g} * sum lam_i = {np.ldexp(val, p):g} <= 0"
         return None
 
     def descriptor(self):
@@ -177,10 +221,8 @@ def boundary_shift(cone, lam):
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
     if not np.all(np.isfinite(lam)):
         raise DomainError("boundary_shift requires finite tuples")
-    pts = lam.reshape(-1, cone.n)
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(pts), axis=-1))[1] - 1)
-    t = cone.diagonal_shift(pts / scale[:, None]) * scale
-    return t.reshape(lam.shape[:-1])[()]
+    x, p = _unit_rows(lam.reshape(-1, cone.n))
+    return np.ldexp(cone.diagonal_shift(x), p).reshape(lam.shape[:-1])[()]
 
 
 def sample_cone(cone, size, rng=None, fraction_range=(1e-3, 1.0)):

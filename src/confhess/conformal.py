@@ -568,27 +568,6 @@ def schouten_eigs(p, x):
     return schouten_matrix(p, x).eigenvalues
 
 
-def _schouten_eigs_sphere_covariant(p, x):
-    """Sphere-background eigenvalues via the covariant route (test oracle).
-
-    Builds A directly over the sphere chart, including the background
-    Schouten term, and solves the generalized problem against ``phi^2 I``
-    (which reduces to dividing ordinary eigenvalues by ``phi^2``).
-    """
-    pv = gauge_convert(p, "v")
-    if pv.background.kind != "sphere":
-        raise DomainError("covariant route applies to sphere backgrounds")
-    x = np.asarray(x, dtype=float)
-    n = pv.n
-    val = pv.value(x)
-    bg = pv.background
-    phi2 = bg.phi(x) ** 2
-    a0 = bg.schouten_scale * phi2 * np.eye(n)
-    core = conformal_hessian_matrix(pv, x) + ((n - 2.0) / 2.0) * val * a0
-    amat = (2.0 / (n - 2.0)) * val ** (-(n + 2.0) / (n - 2.0)) * core
-    return _eigvalsh(amat) / phi2
-
-
 def tangential_hessian(r, d1, d2):
     """Tangential Hessian eigenvalue ``d1 / r`` of a radial function, with
     the even-extension limit ``d2`` at ``r = 0``."""

@@ -21,7 +21,7 @@ Evaluation sorts the tuple first, which makes permutation symmetry hold
 bitwise, and gradients are scattered back through the inverse permutation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,10 +95,18 @@ def _scatter(values_sorted, order):
 class CurvatureOperator:
     """Shared behaviour for the operator catalog.
 
-    Subclasses implement ``_value_sorted`` / ``_gradient_sorted`` /
-    ``_quadform`` on ascending-sorted tuples.  ``value`` and ``gradient``
-    evaluate the raw formulas wherever they make sense (NaN where they do
-    not) and leave cone gating to :func:`eval_op` / :func:`grad_op`.
+    Subclasses implement ``_value_sorted`` / ``_gradient_sorted`` on
+    ascending-sorted tuples and ``_quadform(lam, b)`` on unsorted ones.
+    ``_quadform`` returns ``d2/dt2 f(lam + t b)`` at ``t = 0`` in ``O(n k)``
+    per tuple without forming the ``n x n`` Hessian: the sigma_k families
+    apply the chain rule to the second-order Taylor jets of
+    :func:`_poly.elementary_jet`, ``InvMonomialSum`` runs its complete
+    homogeneous recurrence on jets, ``InvPowerSum`` has a closed form and
+    ``PucciMin`` reports its midpoint defect at ties.  ``Shifted`` passes
+    the shifted direction to its inner operator.  ``value`` and
+    ``gradient`` evaluate the raw formulas wherever they make sense (NaN
+    where they do not) and leave cone gating to :func:`eval_op` /
+    :func:`grad_op`.
     """
 
     #: Degree of positive homogeneity; 1 throughout the catalog.
@@ -142,6 +150,20 @@ class CurvatureOperator:
         return (fp - 2.0 * f0 + fm) / np.squeeze(h, axis=-1) ** 2
 
 
+def _quotient_quadform(lam, b, k, l):
+    """``d2/dt2 f(lam + t b)`` at ``t = 0`` for ``f = (sigma_k / sigma_l)^(1/(k-l))``.
+
+    ``log sigma_m(lam + t b)`` has the derivatives ``c1/c0`` and
+    ``2 c2/c0 - (c1/c0)^2`` in the jets of :func:`_poly.elementary_jet`
+    (``sigma_0 = 1`` has the jet (1, 0, 0)), and ``f'' = f ((log f)'^2 + (log f)'')``.
+    """
+    c0, c1, c2 = _poly.elementary_jet(lam, b, k)
+    dk, dl = c1[..., k] / c0[..., k], c1[..., l] / c0[..., l]
+    d2 = 2.0 * (c2[..., k] / c0[..., k] - c2[..., l] / c0[..., l]) - dk ** 2 + dl ** 2
+    f = np.power(c0[..., k] / c0[..., l], 1.0 / (k - l))
+    return f * (((dk - dl) / (k - l)) ** 2 + d2 / (k - l))
+
+
 @dataclass(frozen=True)
 class SigmaKRoot(CurvatureOperator):
     """``f = sigma_k(lam)^(1/k)`` on the k-th Garding cone."""
@@ -162,10 +184,7 @@ class SigmaKRoot(CurvatureOperator):
         return f"sigma-root:k={self.k}"
 
     def _value_sorted(self, ls):
-        s = _poly.sigma(ls, self.k)
-        if self.k == 1:
-            return s
-        return np.power(s, 1.0 / self.k)
+        return np.power(_poly.sigma(ls, self.k), 1.0 / self.k)
 
     def _gradient_sorted(self, ls):
         if self.k == 1:
@@ -176,19 +195,7 @@ class SigmaKRoot(CurvatureOperator):
         return pref[..., None] * partial
 
     def _quadform(self, lam, b):
-        if self.k == 1:
-            return np.zeros(lam.shape[:-1])
-        k = self.k
-        s = _poly.sigma(lam, k)
-        grad_s = _poly.elementary_excluding(lam, k - 1)[..., :, k - 1]
-        pair = _poly.elementary_excluding_pair(lam, max(k - 2, 0))[..., k - 2]
-        bb = b[..., :, None] * b[..., None, :]
-        off = ~np.eye(self.n, dtype=bool)
-        bhb_sigma = np.sum(np.where(off, pair * bb, 0.0), axis=(-2, -1))
-        gb = np.sum(grad_s * b, axis=-1)
-        t1 = (1.0 / k) * np.power(s, 1.0 / k - 1.0) * bhb_sigma
-        t2 = (1.0 / k) * (1.0 / k - 1.0) * np.power(s, 1.0 / k - 2.0) * gb ** 2
-        return t1 + t2
+        return _quotient_quadform(lam, b, self.k, 0)
 
 
 @dataclass(frozen=True)
@@ -232,29 +239,7 @@ class Quotient(CurvatureOperator):
         return (f / (k - l))[..., None] * ratio
 
     def _quadform(self, lam, b):
-        k, l = self.k, self.l
-        ls = lam  # quadform is permutation covariant; sorting unnecessary here
-        sk, sl = self._sigmas(ls)
-        f = np.power(sk / sl, 1.0 / (k - l))
-        ex = _poly.elementary_excluding(ls, k - 1)
-        pair = _poly.elementary_excluding_pair(ls, max(k - 2, 0))
-        off = ~np.eye(self.n, dtype=bool)
-        bb = b[..., :, None] * b[..., None, :]
-
-        def log_terms(m, sm):
-            gm = ex[..., :, m - 1] if m >= 1 else np.zeros_like(ls)
-            gb = np.sum(gm * b, axis=-1)
-            if m >= 2:
-                hm = np.sum(np.where(off, pair[..., m - 2] * bb, 0.0), axis=(-2, -1))
-            else:
-                hm = np.zeros(ls.shape[:-1])
-            return hm / sm - (gb / sm) ** 2, gb / sm
-
-        hk, gk = log_terms(k, sk)
-        hl, gl = log_terms(l, sl)
-        dlogf = (gk - gl) / (k - l)
-        d2logf = (hk - hl) / (k - l)
-        return f * (dlogf ** 2 + d2logf)
+        return _quotient_quadform(lam, b, self.k, self.l)
 
 
 @dataclass(frozen=True)
@@ -315,9 +300,11 @@ class PucciMin(CurvatureOperator):
         # Locally linear where smooth; at ties report the directional
         # midpoint defect (f(lam+hb) + f(lam-hb))/2 - f(lam), scaled by h^-2,
         # instead of a quadratic form.
-        smooth = self.is_smooth_at(lam)
-        fd = self._quadform_fd(lam, b)
-        return np.where(smooth, 0.0, fd)
+        lam, b = np.broadcast_arrays(lam, b)
+        tied = ~self.is_smooth_at(lam)
+        out = np.zeros(lam.shape[:-1])
+        out[tied] = self._quadform_fd(lam[tied], b[tied])
+        return out
 
 
 @dataclass(frozen=True)
@@ -379,55 +366,36 @@ class InvMonomialSum(CurvatureOperator):
         h = _poly.complete_homogeneous_all(1.0 / ls, self.k)[..., self.k]
         return np.power(h, -1.0 / self.k)
 
-    def _h_and_partials(self, x):
+    def _gradient_sorted(self, ls):
         k = self.k
+        x = 1.0 / ls
         hall = _poly.complete_homogeneous_all(x, k)
-        h = hall[..., k]
         # dh/dx_i = sum_{m=0..k-1} x_i^m h_{k-1-m}
         xp = np.ones_like(x)
         hi = np.zeros_like(x)
         for m in range(k):
             hi = hi + xp * hall[..., k - 1 - m][..., None]
             xp = xp * x
-        return hall, h, hi
-
-    def _gradient_sorted(self, ls):
-        x = 1.0 / ls
-        _, h, hi = self._h_and_partials(x)
-        pref = (1.0 / self.k) * np.power(h, -1.0 / self.k - 1.0)
+        pref = (1.0 / k) * np.power(hall[..., k], -1.0 / k - 1.0)
         return pref[..., None] * hi * x ** 2
 
     def _quadform(self, lam, b):
-        k, n = self.k, self.n
+        # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3); h_m <- h_m + x_i h_(m-1)
+        # adds one variable to the complete homogeneous sums, here on jets.
+        k = self.k
         x = 1.0 / lam
-        hall, h, hi = self._h_and_partials(x)
-        # Second partials of h_k in x from the generating function\n
-        # 1/prod(1 - x_i t): cross terms sum x_i^a x_j^b h_c over a+b+c=k-2,
-        # diagonal terms 2 (a+1) x_i^a h_c over a+c=k-2.
-        xpows = [np.ones_like(x)]
-        for _ in range(max(k - 1, 0)):
-            xpows.append(xpows[-1] * x)
-        hij = np.zeros(lam.shape[:-1] + (n, n))
-        for a in range(k - 1):
-            for bdeg in range(k - 1 - a):
-                c = k - 2 - a - bdeg
-                hij += (xpows[a][..., :, None] * xpows[bdeg][..., None, :]
-                        * hall[..., c][..., None, None])
-        diag = np.zeros_like(x)
-        for a in range(k - 1):
-            c = k - 2 - a
-            diag = diag + 2.0 * (a + 1) * xpows[a] * hall[..., c][..., None]
-        ii = np.arange(n)
-        hij[..., ii, ii] = diag
-        # F = h^(-1/k) as a function of x, then chain through x = 1/lam.
-        Fi = -(1.0 / k) * np.power(h, -1.0 / k - 1.0)[..., None] * hi
-        Fij = ((1.0 / k) * (1.0 / k + 1.0) * np.power(h, -1.0 / k - 2.0)[..., None, None]
-               * hi[..., :, None] * hi[..., None, :]
-               - (1.0 / k) * np.power(h, -1.0 / k - 1.0)[..., None, None] * hij)
-        x2 = x ** 2
-        fij = Fij * x2[..., :, None] * x2[..., None, :]
-        fij[..., ii, ii] += Fi * 2.0 * x ** 3
-        return np.einsum("...ij,...i,...j->...", fij, b, b)
+        xj = (x, -b * x ** 2, b ** 2 * x ** 3)
+        h = [(np.ones(x.shape[:-1]), 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * k
+        for i in range(self.n):
+            x0, x1, x2 = (c[..., i] for c in xj)
+            for m in range(1, k + 1):
+                p0, p1, p2 = h[m - 1]
+                q0, q1, q2 = h[m]
+                h[m] = (q0 + x0 * p0, q1 + x0 * p1 + x1 * p0, q2 + x0 * p2 + x1 * p1 + x2 * p0)
+        h0, h1, h2 = h[k]
+        # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
+        return ((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
+                - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
 
 
 @dataclass(frozen=True)
@@ -526,8 +494,13 @@ def _finite(spec, out):
 
 
 def eval_op(spec, lam):
-    """Evaluate ``spec`` at ``lam`` after verifying cone admissibility."""
-    return _finite(spec, spec.value(_admitted(spec, lam)))
+    """Evaluate ``spec`` at ``lam`` after verifying cone admissibility; a
+    value rounded to <= 0 on the cone raises :class:`NumericError`."""
+    f = _finite(spec, spec.value(_admitted(spec, lam)))
+    if not np.all(f > 0.0):
+        raise NumericError(
+            f"{spec.descriptor()} rounded to {np.min(f):g} <= 0 on an admissible tuple")
+    return f
 
 
 def grad_op(spec, lam, return_smooth=False):
@@ -574,15 +547,7 @@ class AxiomReport:
         return self.total_violations == 0
 
     def to_dict(self):
-        return {
-            "operator": self.operator,
-            "n": self.n,
-            "samples": self.samples,
-            "violations": dict(self.violations),
-            "worst": dict(self.worst),
-            "tolerances": dict(self.tolerances),
-            "total_violations": self.total_violations,
-        }
+        return {**asdict(self), "total_violations": self.total_violations}
 
 
 def _random_orthogonal(n, rng):

@@ -1,6 +1,7 @@
 """Black-box CLI coverage: exit codes, formats, determinism, round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,50 @@ def test_overflow_is_a_numeric_failure_or_a_correct_margin(capsys):
                              "--lambda", "1e308,1e308,1")
         assert code == 2, command
         assert out == "" and err.startswith("numeric failure:"), command
+
+
+def test_membership_far_from_unit_scale(capsys):
+    # (a, a, c): sigma_2(lam + t 1) = (a + t)(3 t + a + 2 c), largest root -(a + 2 c)/3,
+    # though sigma_2(lam) = a (a + 2 c) = 2e615 overflows
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
+                       "--lambda=1e308,1e308,-4e307", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["boundary_shift"] == pytest.approx(-2e307 / 3, rel=1e-13)
+    # all equal a: sigma_2(lam + t 1) = 3 (a + t)^2, root -a; sigma_2 = 3e-400 underflows
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=2", "--n", "3",
+                       "--lambda=1e-200,1e-200,1e-200", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["boundary_shift"] == pytest.approx(-1e-200, rel=1e-13)
+    # sigma_3 = 1e200 is finite but 1e200 / 2^664 = 1.3e-200 cubed would underflow
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=3", "--n", "3",
+                       "--lambda=1e200,1,1")
+    assert (code, out) == (0, "inside (margin 1)\n")
+    code, out, _ = run(capsys, "eval", "--op", "sigma-root:k=3", "--n", "3",
+                       "--lambda=1e200,1,1")
+    assert code == 0 and float(out) == pytest.approx(1e200 ** (1 / 3), rel=1e-14)
+    # min + delta sum = 1 + (2e308 + 1)/2 overflows; t* = -(1e308 + 1.5)/2.5
+    code, out, _ = run(capsys, "cone", "--cone", "sigma:delta=0.5", "--n", "3",
+                       "--lambda=1e308,1e308,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["boundary_shift"] == pytest.approx(-4e307, rel=1e-13)
+
+
+def test_value_rounded_to_zero_is_a_numeric_failure(capsys):
+    for op in ("sigma-root:k=2", "inv-power"):
+        code, out, err = run(capsys, "eval", "--op", op, "--n", "3",
+                             "--lambda=1e-200,1e-200,1e-200")
+        assert code == 2, op
+        assert out == "" and err.startswith("numeric failure:"), op
+
+
+def test_overflow_prints_only_the_cli_message(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")     # print every warning, as a shell user sees it
+        for lam in ("1e308,1e308,1", "1e308,1e308,-4e307"):
+            code, out, err = run(capsys, "eval", "--op", "sigma-root:k=2", "--n", "3",
+                                 "--lambda=" + lam)
+            assert code == 2 and out == "", lam
+            assert err.startswith("numeric failure:") and err.count("\n") == 1, err
 
 
 def test_number_lists_may_start_with_a_minus_sign(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Cone membership, boundary location, sampling, inclusion relations."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,49 @@ def test_gamma_membership_examples():
     assert cones.cone_contains(g2, [1.0, 1.0, -0.4])   # sigma_1 = 1.6, sigma_2 = 0.2
     assert not cones.cone_contains(g2, [1.0, 1.0, -0.5])  # sigma_2 = 0 on the boundary
     assert "sigma_2" in cones.cone_violation(g2, np.array([1.0, 1.0, -0.5]))
+
+
+def test_membership_far_from_unit_scale():
+    # sigma_j finite here, but the row's maximum is far from 1
+    assert cones.cone_contains(cones.GammaK(3, 3), [1e200, 1.0, 1.0])
+    assert cones.cone_contains(cones.GammaK(8, 8), [1e47] + [1.0] * 7)
+    assert cones.cone_contains(cones.GammaK(8, 7), [1e47] + [1.0] * 7)
+    # entries 2^1993 apart: Gamma_n is exactly min lam_i > 0
+    assert cones.cone_contains(cones.GammaK(3, 3), [1e300, 1e-300, 1.0])
+    assert cones.cone_contains(cones.SigmaDelta(3, 0.0), [1e300, 1e-320, 1.0])
+    # sigma_3 = 3e540 + 1e360 overflows, and in units of the maximum underflows
+    assert cones.cone_contains(cones.GammaK(4, 3), [1e300, 1e120, 1e120, 1e120])
+    # sigma_2 = 1e616 - 1.8e616 overflows: the text reports -inf, not nan
+    assert cones.cone_violation(cones.GammaK(3, 2), np.array([1e308, 1e308, -9e307])) \
+        == "sigma_2 = -inf <= 0"
+    assert cones.cone_violation(cones.SigmaDelta(3, 0.0), np.array([1e300, -1e-320, 1.0])) \
+        == "min lam_i + 0 * sum lam_i = -9.99989e-321 <= 0"
+
+
+def _exact_sigmas(lam, k):
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for x in map(Fraction, lam):
+        for j in range(k, 0, -1):
+            e[j] += x * e[j - 1]
+    return e[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gamma_membership_matches_exact_arithmetic(data):
+    """Rows of two magnitudes up to 2^400 apart, anywhere in the float range."""
+    n = data.draw(st.integers(3, 8))
+    k = data.draw(st.integers(1, n))
+    low = data.draw(st.integers(-850, 420))
+    gap = data.draw(st.integers(0, 400))
+    high = data.draw(st.integers(1, 2))     # entries at the upper level
+    lam = np.array([data.draw(st.sampled_from((1.0, 1.0, -1.0)))
+                    * np.ldexp(data.draw(st.floats(0.5, 1.0)), low + gap * (i < high))
+                    for i in range(n)])
+    exact = _exact_sigmas(lam, k)
+    size = _exact_sigmas(np.abs(lam), k)
+    if all(abs(s) >= a / 10 ** 6 for s, a in zip(exact, size)):   # signs that floats resolve
+        assert cones.cone_contains(cones.GammaK(n, k), lam) == all(s > 0 for s in exact)
 
 
 def test_sigma_delta_zero_equals_positive_orthant():
