@@ -132,8 +132,8 @@ class SigmaDelta:
 
     def __post_init__(self):
         _check_dim(self.n)
-        if self.delta < 0:
-            raise DomainError(f"SigmaDelta requires delta >= 0, got {self.delta}")
+        if not 0 <= self.delta < np.inf:
+            raise DomainError(f"SigmaDelta requires finite delta >= 0, got {self.delta}")
 
     def margin_value(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -146,7 +146,11 @@ class SigmaDelta:
         return self._margin(lam)[0][..., 0] > 0.0
 
     def diagonal_shift(self, lam):
-        return -self.margin_value(lam) / (1.0 + self.n * self.delta)
+        d = self.delta
+        if d <= 1.0:
+            return -self.margin_value(lam) / (1.0 + self.n * d)
+        # divided through by delta, so that delta * sum and n * delta cannot overflow
+        return -(np.min(lam, axis=-1) / d + np.sum(lam, axis=-1)) / (1.0 / d + self.n)
 
     def violation(self, lam):
         (val,), (p,) = self._margin(lam)
@@ -213,14 +217,17 @@ def boundary_shift(cone, lam):
     supported cone is convex and contains the positive diagonal ray), so the
     crossing is unique and each cone's ``diagonal_shift`` locates it exactly,
     on rows scaled by a power of two to ``1 <= max |lam_i| < 2`` (``t*`` is
-    homogeneous, and no symmetric polynomial overflows).  Non-finite tuples
-    have no crossing and raise :class:`DomainError`.
+    homogeneous, and no symmetric polynomial overflows).  Gamma_n's
+    ``-min lam_i`` runs on the rows as given, where no entry underflows.
+    Non-finite tuples have no crossing and raise :class:`DomainError`.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != cone.n:
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
     if not np.all(np.isfinite(lam)):
         raise DomainError("boundary_shift requires finite tuples")
+    if isinstance(cone, GammaK) and cone.k == cone.n:
+        return -np.min(lam, axis=-1)
     x, p = _unit_rows(lam.reshape(-1, cone.n))
     return np.ldexp(cone.diagonal_shift(x), p).reshape(lam.shape[:-1])[()]
 

@@ -25,12 +25,14 @@ measured in g itself; ``conf_hess`` is the conformally invariant Hessian
 In the U gauge the same eigenvalues come from the independent formula
 ``u D2 u - (|Du|^2 / 2) I`` (flat background), which the tests use as a
 second route.
+
+``scipy.interpolate`` is imported on the first call of
+:func:`grid_radial_profile`, not with the module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NumericError, PositivityError, UsageError, parse_descriptor
 
@@ -419,6 +421,8 @@ def grid_radial_profile(r, v, n, gauge="v", background=None, label="grid"):
     is extended evenly across the origin so the interpolant satisfies
     ``v'(0) = 0``.
     """
+    from scipy.interpolate import CubicSpline
+
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
     if r.ndim != 1 or r.shape != v.shape or r.size < 4:

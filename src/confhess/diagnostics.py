@@ -14,13 +14,15 @@ for admissible conformal metrics are about:
   nonnegative Ricci curvature, identically 1 only for flat space);
 * ``harnack_beta`` / ``holder_check`` -- the Holder exponent
   ``(1 - delta (n-2)) / (1 + delta)`` and sampled Holder seminorms.
+
+``scipy.stats`` is imported on the first Sobol sample of a ball, not with
+the module.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import conformal
 from .errors import DomainError
@@ -106,6 +108,8 @@ class EstimateMonitor:
 
 
 def _sobol_ball(n, radius, count, seed=0):
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=n, scramble=True, seed=seed)
     u = eng.random(count)
     g = np.clip(u * 2.0 - 1.0, -1.0, 1.0)
@@ -356,7 +360,7 @@ def harnack_beta(delta, n):
     """
     if n < 3:
         raise DomainError(f"dimension n={n} must be >= 3")
-    if delta < 0.0 or delta >= 1.0 / (n - 2):
+    if not 0.0 <= delta < 1.0 / (n - 2):
         raise DomainError(
             f"delta must lie in [0, 1/(n-2)) = [0, {1.0 / (n - 2):g}), got {delta}")
     return (1.0 - delta * (n - 2)) / (1.0 + delta)

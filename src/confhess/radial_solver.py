@@ -19,6 +19,10 @@ a step only if every node stays strictly inside the admissibility cone with
 at least 10% of the previous margin and the residual max-norm decreases.
 The operator degenerates on the cone boundary, so losing the margin stalls
 Newton; damping protects against that.
+
+scipy is imported on first use, not with the module: ``scipy.linalg`` on
+the first Newton step, ``scipy.interpolate`` on the first
+:meth:`SolveResult.profile`.
 """
 
 import dataclasses
@@ -26,10 +30,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import solve_banded
 
 from . import cones, conformal, symfun
+from ._lapack import solve_banded
 from .errors import AdmissibilityError, DomainError, NumericError, UsageError
 
 RESIDUAL_TOL = 1e-10
@@ -207,6 +210,8 @@ class SolveResult:
         """The solution as a radial profile carrying the solver's own nodal
         derivatives, so downstream gauge conversions reproduce the discrete
         residual identically at the nodes."""
+        from scipy.interpolate import CubicHermiteSpline
+
         sp = CubicHermiteSpline(self.r, self.v, self.v1)
         rr, vv2 = self.r.copy(), self.v2.copy()
         prof = conformal.RadialProfile(

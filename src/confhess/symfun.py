@@ -258,8 +258,8 @@ class PucciMin(CurvatureOperator):
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise DomainError(f"PucciMin requires 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.delta < 0:
-            raise DomainError(f"PucciMin requires delta >= 0, got {self.delta}")
+        if not 0 <= self.delta < np.inf:
+            raise DomainError(f"PucciMin requires finite delta >= 0, got {self.delta}")
         cones._check_dim(self.n)
 
     @property
@@ -412,8 +412,8 @@ class Shifted(CurvatureOperator):
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError(f"Shifted requires delta > 0, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise DomainError(f"Shifted requires finite delta > 0, got {self.delta}")
         if self.inner.n != self.n:
             raise DomainError("Shifted inner operator must share the dimension n")
 
@@ -441,11 +441,13 @@ class Shifted(CurvatureOperator):
         inner = self.inner.cone.diagonal_shift(self._shift(lam))
         return np.maximum(-np.mean(lam, axis=-1), inner / (1.0 + self.n * self.delta))
 
+    # Adding one scalar per row keeps a sorted row sorted (rounding is
+    # monotone), so the inner operator runs on the shifted row as it is.
     def _value_sorted(self, ls):
-        return self.inner.value(self._shift(ls))
+        return self.inner._value_sorted(self._shift(ls))
 
     def _gradient_sorted(self, ls):
-        g1 = self.inner.gradient(self._shift(ls))
+        g1 = self.inner._gradient_sorted(self._shift(ls))
         return g1 + self.delta * np.sum(g1, axis=-1, keepdims=True)
 
     def _quadform(self, lam, b):

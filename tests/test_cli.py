@@ -1,10 +1,15 @@
 """Black-box CLI coverage: exit codes, formats, determinism, round trips."""
 
+import contextlib
+import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from confhess import cli, conformal, radial_solver, symfun
 
@@ -84,6 +89,7 @@ def test_out_of_range_inputs_exit_one_without_traceback(capsys):
     for argv in (["cone", "--cone", "gamma:k=2", "--n", "3", "--lambda", "inf,1,1"],
                  ["cone", "--cone", "gamma:k=2", "--n", "3", "--lambda", "nan,1,1"],
                  ["inclusion", "--k", "2", "--n", "3", "--samples", "0"],
+                 ["harnack", "--delta", "nan", "--n", "4"],
                  ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "grad",
                   "--radius", "0"],
                  ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "hess",
@@ -389,3 +395,120 @@ def test_float_serialization_17_digits(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == np.sqrt(3.0)  # bit-faithful round trip
+
+
+def test_non_finite_delta_is_a_usage_error(capsys):
+    for delta in ("inf", "-inf", "nan"):
+        for argv in (["cone", "--cone", f"sigma:delta={delta}", "--lambda", "1,2,3"],
+                     ["eval", "--op", f"pucci:k=2,delta={delta}", "--lambda", "1,2,3"],
+                     ["eval", "--op", f"shifted:delta={delta},inner=inv-power",
+                      "--lambda", "1,2,3"]):
+            code, out, err = run(capsys, *argv, "--n", "3")
+            assert code == 3 and out == "", argv
+            assert err.startswith("usage error") and "finite delta" in err, argv
+
+
+def test_gamma_n_margin_is_exact_at_every_magnitude(capsys):
+    # -min lam_i, though 1e-300 is below 2^-1074 of the row maximum
+    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=3", "--n", "3",
+                       "--lambda=1e300,1e-300,1")
+    assert (code, out) == (0, "inside (margin 1e-300)\n")
+
+
+def test_trace_shift_overflow_is_a_numeric_failure(capsys):
+    # every entry is finite, but lam + sum(lam) (1,..,1) overflows
+    for command in ("eval", "grad"):
+        for op in ("shifted:delta=1,inner=inv-power", "ricci:inner=sigma-root:k=2"):
+            code, out, err = run(capsys, command, "--op", op, "--n", "3",
+                                 "--lambda=1e308,1e308,1e308")
+            assert code == 2 and out == "", (command, op)
+            assert err.startswith("numeric failure:"), (command, op)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: every eval/grad/cone call ends with a documented exit code
+# ---------------------------------------------------------------------------
+
+#: Numbers at the edges of the float range, as a shell user would type them.
+EDGE_NUMBERS = ("nan", "NaN", "inf", "-inf", "+inf", "0", "-0", "1e308", "-1e308",
+                "1.7976931348623157e308", "1e-308", "2.2250738585072014e-308", "5e-324",
+                "-5e-324", "1e-300", "1e300", "1e400", "-1e-400")
+EDGE_DELTAS = ("nan", "inf", "-inf", "0", "1e308", "-1e308", "5e-324", "-0.5")
+NON_FINITE = re.compile(r"(?<![a-z])(nan|-?inf)(?![a-z])", re.IGNORECASE)
+
+
+def mostly(usual, rare):
+    """``usual`` five times in six, else ``rare``."""
+    return st.sampled_from((False,) * 5 + (True,)).flatmap(lambda r: rare if r else usual)
+
+
+def numbers():
+    return st.one_of(st.floats(0.0, 10.0), st.floats(-10.0, 10.0),
+                     st.floats(width=64)).map(repr) | st.sampled_from(EDGE_NUMBERS)
+
+
+def deltas():
+    return mostly(st.sampled_from(("0.25", "1", "0.5")), st.sampled_from(EDGE_DELTAS))
+
+
+def malformed(text):
+    """``text`` cut short, with a character dropped, or with junk appended."""
+    return st.one_of(
+        st.integers(0, len(text)).map(lambda i: text[:i]),
+        st.integers(0, len(text) - 1).map(lambda i: text[:i] + text[i + 1:]),
+        st.sampled_from((",", "=", ":", ",k=2", ",delta=1", ",inner=inv-power", "x"))
+        .map(lambda s: text + s))
+
+
+@st.composite
+def operator_descriptors(draw, n, depth=0):
+    k = draw(mostly(st.integers(1, n), st.integers(-1, 9)))
+    l = draw(mostly(st.integers(0, k - 1), st.integers(-1, 9))) if k >= 1 else 0
+    heads = ["sigma-root", "quotient", "pucci", "inv-power", "inv-monomial"]
+    head = draw(st.sampled_from(heads + ["shifted", "ricci"] * (depth < 2)))
+    if head in ("shifted", "ricci"):
+        inner = draw(operator_descriptors(n, depth + 1))
+        text = (f"shifted:delta={draw(deltas())},inner={inner}" if head == "shifted"
+                else f"ricci:inner={inner}")
+    else:
+        text = {"sigma-root": f"sigma-root:k={k}", "quotient": f"quotient:k={k},l={l}",
+                "pucci": f"pucci:k={k},delta={draw(deltas())}", "inv-power": "inv-power",
+                "inv-monomial": f"inv-monomial:k={k}"}[head]
+    return draw(mostly(st.just(text), malformed(text)))
+
+
+@st.composite
+def cone_descriptors(draw, n):
+    text = draw(st.one_of(
+        mostly(st.integers(1, n), st.integers(-1, 9)).map(lambda k: f"gamma:k={k}"),
+        deltas().map(lambda d: f"sigma:delta={d}")))
+    return draw(mostly(st.just(text), malformed(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_exits_with_a_documented_code_on_any_input(data):
+    n = data.draw(mostly(st.integers(3, 6), st.integers(0, 9)), label="n")
+    command = data.draw(st.sampled_from(("eval", "grad", "cone")), label="command")
+    if command == "cone":
+        flag, descriptor = "--cone", data.draw(cone_descriptors(max(n, 1)), label="cone")
+    else:
+        flag, descriptor = "--op", data.draw(operator_descriptors(max(n, 1)), label="op")
+    size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
+    lam = ",".join(data.draw(st.lists(numbers(), min_size=size, max_size=size),
+                             label="lambda"))
+    lam_args = data.draw(st.sampled_from((["--lambda", lam], ["--lambda=" + lam])))
+    fmt = data.draw(st.sampled_from(("text", "json")), label="format")
+    argv = [command, flag, descriptor, "--n", str(n), *lam_args, "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 0:
+        assert err == "" and not NON_FINITE.search(out), (argv, out)

@@ -131,6 +131,26 @@ def test_boundary_shift_sigma_delta_closed_form():
     assert np.allclose(t, expected, atol=1e-14)
 
 
+def test_boundary_shift_sigma_delta_large_delta():
+    # t* = -(min + delta sum) / (1 + n delta) -> -sum / n as delta grows; at
+    # delta = 1e308 both delta * sum and n * delta overflow
+    for delta in (2.0, 1e300, 1e308):
+        cone = cones.SigmaDelta(3, delta)
+        for lam in ([0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1e300, 1e-300, 1.0]):
+            want = -(min(lam) / delta + sum(lam)) / (1.0 / delta + 3.0)
+            assert cones.boundary_shift(cone, lam) == pytest.approx(want, rel=1e-15)
+
+
+def test_boundary_shift_gamma_n_is_exact_min():
+    # -min lam_i, though entries below 2^-1074 of the row maximum vanish in
+    # any row scaled to unit maximum
+    cone = cones.GammaK(3, 3)
+    lam = np.array([[1e300, 1e-300, 1.0], [1e300, 5e-324, 1.0], [1e300, -1e-310, 1.0],
+                    [2.0, 3.0, -4.0]])
+    assert np.array_equal(cones.boundary_shift(cone, lam), -np.min(lam, axis=-1))
+    assert cones.boundary_shift(cone, lam[0]) == -1e-300
+
+
 def test_boundary_shift_gamma1_example():
     # sigma_1(lam + t e) = -3 + 3 t vanishes at t = 1
     t = cones.boundary_shift(cones.GammaK(3, 1), [1.0, -2.0, -2.0])
@@ -332,5 +352,6 @@ def test_cone_dimension_checks():
         cones.cone_contains(cones.GammaK(4, 2), [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         cones.GammaK(4, 5)
-    with pytest.raises(DomainError):
-        cones.SigmaDelta(4, -0.1)
+    for delta in (-0.1, np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError):
+            cones.SigmaDelta(4, delta)

@@ -348,6 +348,39 @@ def test_quadform_jets_match_the_pairwise_hessian(data):
         spec.descriptor()
 
 
+def _shifted_by_resorting(spec, lam):
+    """Trace-shift value and gradient through the inner operator's public
+    ``value``/``gradient``, which sort the already sorted shifted rows again."""
+    ls, order = symfun._sort_with_order(lam)
+    x = spec._shift(ls)
+    g1 = spec.inner.gradient(x)
+    with np.errstate(invalid="ignore", over="ignore"):    # inf entries, as spec.gradient
+        g = symfun._scatter(g1 + spec.delta * np.sum(g1, axis=-1, keepdims=True), order)
+    return spec.inner.value(x), g
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_shift_skips_the_inner_sort_bitwise(data):
+    n = data.draw(st.integers(3, 8))
+    spec = data.draw(quadform_operators(n).filter(lambda op: isinstance(op, symfun.Shifted)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam = np.concatenate([cones.sample_cone(spec.cone, 32, rng),
+                          rng.standard_normal((16, n)),
+                          rng.integers(-2, 3, (16, n)).astype(float)])
+    lam[::3, 1] = lam[::3, 0]     # ties
+    # one entry 1e17 above the rest: the shift rounds distinct entries to ties
+    lam[1::5, -1] = 1e17
+    got_v, got_g = spec.value(lam), spec.gradient(lam)
+    want_v, want_g = _shifted_by_resorting(spec, lam)
+    assert np.array_equal(_bits(got_v), _bits(want_v)), spec.descriptor()
+    assert np.array_equal(_bits(got_g), _bits(want_g)), spec.descriptor()
+
+
 # ---------------------------------------------------------------------------
 # Invariants: permutation, homogeneity, Euler relation
 # ---------------------------------------------------------------------------
@@ -430,12 +463,14 @@ def test_operator_invariant_validation():
         symfun.SigmaKRoot(n=4, k=5)
     with pytest.raises(DomainError):
         symfun.Quotient(n=4, k=2, l=2)
-    with pytest.raises(DomainError):
-        symfun.PucciMin(n=4, k=2, delta=-0.1)
+    for delta in (-0.1, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            symfun.PucciMin(n=4, k=2, delta=delta)
     with pytest.raises(DomainError):
         symfun.InvMonomialSum(n=4, k=0)
-    with pytest.raises(DomainError):
-        symfun.Shifted(n=4, inner=symfun.SigmaKRoot(n=4, k=2), delta=0.0)
+    for delta in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            symfun.Shifted(n=4, inner=symfun.SigmaKRoot(n=4, k=2), delta=delta)
 
 
 def test_shifted_general_composition():
