@@ -24,7 +24,8 @@ measured in g itself; ``conf_hess`` is the conformally invariant Hessian
 
 In the U gauge the same eigenvalues come from the independent formula
 ``u D2 u - (|Du|^2 / 2) I`` (flat background), which the tests use as a
-second route.
+second route.  Profile jets broadcast over leading axes of the chart
+points, as operators and cones do over eigenvalue tuples.
 
 ``scipy.interpolate`` is imported on the first call of
 :func:`grid_radial_profile`, not with the module.
@@ -108,8 +109,11 @@ def _default_background(n, background):
 class Profile:
     """A conformal factor with value, gradient and Hessian at chart points.
 
-    Subclasses implement ``jet(x) -> (value, gradient, hessian)`` for a
-    single point ``x`` of shape ``(n,)``.  Profiles are immutable after
+    Subclasses implement ``jet(x) -> (value, gradient, hessian)``, which
+    broadcasts over leading axes the way operators and cones do: ``x`` of
+    shape ``(..., n)`` gives shapes ``(...)``, ``(..., n)`` and
+    ``(..., n, n)``, and a single point ``(n,)`` a NumPy float, an ``(n,)``
+    gradient and an ``(n, n)`` Hessian.  Profiles are immutable after
     construction and safe for concurrent reads.
     """
 
@@ -134,6 +138,20 @@ class Profile:
 
     def __call__(self, x):
         return self.value(x)
+
+
+def _outer(a, b):
+    """Outer products over the trailing axis, broadcast over leading axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _dot(a, b):
+    """Dot products over the trailing axis, rounded as ``np.dot`` rounds one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
 class RadialProfile(Profile):
@@ -166,11 +184,18 @@ class RadialProfile(Profile):
     def _check_radius(self, s):
         s = np.asarray(s, dtype=float)
         lo, hi = self.domain
-        if self.excludes_origin and np.any(s <= 0.0):
+        s_min, s_max = s.min(initial=np.inf), s.max(initial=-np.inf)
+        if self.excludes_origin and s_min <= 0.0:
             raise DomainError(f"profile {self.label or 'radial'} is undefined at the center")
-        if np.any(s < lo - 1e-12) or np.any(s > hi * (1 + 1e-12)):
+        if s_min < lo - 1e-12 or s_max > hi * (1 + 1e-12):
             raise DomainError(f"radius outside profile domain [{lo:g}, {hi:g}]")
         return s
+
+    def _derived(self, fun, d1, d2, **changes):
+        """A radial profile with new closures, otherwise like this one."""
+        kw = dict(gauge=self.gauge, background=self.background, center=self.center,
+                  domain=self.domain, excludes_origin=self.excludes_origin, label=self.label)
+        return RadialProfile(fun, d1, d2, self.n, **{**kw, **changes})
 
     def radial_value(self, s):
         return self.fun(self._check_radius(s))
@@ -181,31 +206,31 @@ class RadialProfile(Profile):
     def radial_d2(self, s):
         return self.d2(self._check_radius(s))
 
+    def value(self, x):
+        d = np.asarray(x, dtype=float) - self.center
+        return np.asarray(self.radial_value(_norm(d)))[()]
+
     def jet(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        s = float(np.linalg.norm(d))
-        val = float(self.radial_value(s))
-        v1 = float(self.radial_d1(s))
-        v2 = float(self.radial_d2(s))
-        n = self.n
-        if s == 0.0:
-            return val, np.zeros(n), v2 * np.eye(n)
-        unit = d / s
-        proj = np.outer(unit, unit)
-        grad = v1 * unit
-        hess = v2 * proj + (v1 / s) * (np.eye(n) - proj)
-        return val, grad, hess
+        d = np.asarray(x, dtype=float) - self.center
+        s = self._check_radius(_norm(d))
+        val, v1, v2 = (np.asarray(f(s)) for f in (self.fun, self.d1, self.d2))
+        unit = d / np.where(s == 0.0, 1.0, s)[..., None]
+        proj = _outer(unit, unit)
+        tang = tangential_hessian(s, v1, v2)
+        hess = v2[..., None, None] * proj + tang[..., None, None] * (np.eye(self.n) - proj)
+        return val[()], v1[..., None] * unit, hess
 
 
 class CallableProfile(Profile):
     """Profile given only by a value callable; derivatives by 4th-order stencils.
 
     Intended for sampled or ad-hoc data where no analytic closure exists.
-    ``step`` is the finite-difference step (absolute).
+    ``step`` is the finite-difference step (absolute).  ``f`` takes one point
+    ``(n,)``, so :meth:`jet` loops over the 1 + 4n + 8n(n-1) stencil points of
+    each point of a batch in Python; the stencil arithmetic is batched.
     """
 
-    _W1 = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}  # /(12 h)
+    _W1 = (1.0, -8.0, 8.0, -1.0)  # at offsets -2, -1, 1, 2; /(12 h)
 
     def __init__(self, f, n, gauge="v", background=None, step=1e-3):
         if gauge not in GAUGES:
@@ -214,27 +239,32 @@ class CallableProfile(Profile):
         self.gauge = gauge
         self.f = f
         self.step = float(step)
+        # offsets in steps: the point, then 4 axial blocks (offset -2, -1, 1, 2
+        # along each axis), then the 4 x 4 offsets of each pair i < j
+        eye, (i, j) = np.eye(n), np.triu_indices(n, 1)
+        w = np.array([-2.0, -1.0, 1.0, 2.0])
+        self._offsets = np.concatenate([
+            np.zeros((1, n)), (w[:, None, None] * eye).reshape(-1, n),
+            (w[:, None, None, None] * eye[i] + w[:, None, None] * eye[j]).reshape(-1, n)])
 
     def jet(self, x):
         x = np.asarray(x, dtype=float)
-        n, h, f = self.n, self.step, self.f
-        val = float(f(x))
-        grad = np.empty(n)
-        hess = np.empty((n, n))
-        eye = np.eye(n)
-        for i in range(n):
-            fp2, fp1 = f(x + 2 * h * eye[i]), f(x + h * eye[i])
-            fm1, fm2 = f(x - h * eye[i]), f(x - 2 * h * eye[i])
-            grad[i] = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-            hess[i, i] = (-fp2 + 16 * fp1 - 30 * val + 16 * fm1 - fm2) / (12 * h ** 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for p, wp in self._W1.items():
-                    for q, wq in self._W1.items():
-                        acc += wp * wq * f(x + p * h * eye[i] + q * h * eye[j])
-                hess[i, j] = hess[j, i] = acc / (144 * h ** 2)
-        return val, grad, hess
+        n, h = self.n, self.step
+        pts = x[..., None, :] + h * self._offsets
+        fv = np.array([self.f(pt) for pt in pts.reshape(-1, n)],
+                      dtype=float).reshape(pts.shape[:-1])
+        val = fv[..., 0]
+        fm2, fm1, fp1, fp2 = (fv[..., 1 + a * n:1 + (a + 1) * n] for a in range(4))
+        grad = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+        cross = fv[..., 1 + 4 * n:].reshape(x.shape[:-1] + (4, 4, -1))
+        acc = sum(wp * wq * cross[..., a, b, :]
+                  for a, wp in enumerate(self._W1) for b, wq in enumerate(self._W1))
+        hess = np.empty(x.shape[:-1] + (n, n))
+        i, j = np.triu_indices(n, 1)
+        hess[..., i, j] = hess[..., j, i] = acc / (144 * h ** 2)
+        hess[..., range(n), range(n)] = (-fp2 + 16 * fp1 - 30 * val[..., None] + 16 * fm1
+                                         - fm2) / (12 * h ** 2)
+        return val[()], grad, hess
 
 
 class _JetProfile(Profile):
@@ -253,47 +283,35 @@ class _JetProfile(Profile):
 # Gauge conversion
 # ---------------------------------------------------------------------------
 
-def _power_map(p):
-    def G(y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0.0):
-            raise PositivityError("gauge conversion requires a positive profile")
-        return y ** p
+def _positive(y):
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0):
+        raise PositivityError("gauge conversion requires a positive profile")
+    return y
 
-    return G, lambda y: p * y ** (p - 1.0), lambda y: p * (p - 1.0) * y ** (p - 2.0)
+
+def _power_map(p):
+    return (lambda y: _positive(y) ** p, lambda y: p * y ** (p - 1.0),
+            lambda y: p * (p - 1.0) * y ** (p - 2.0))
 
 
 def _log_map(c):
-    def G(y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0.0):
-            raise PositivityError("gauge conversion requires a positive profile")
-        return c * np.log(y)
-
-    return G, lambda y: c / y, lambda y: -c / y ** 2
+    return lambda y: c * np.log(_positive(y)), lambda y: c / y, lambda y: -c / y ** 2
 
 
 def _exp_map(c):
-    exp = np.exp
-    return (lambda y: exp(c * np.asarray(y, dtype=float)),
-            lambda y: c * exp(c * y),
-            lambda y: c * c * exp(c * y))
+    return (lambda y: np.exp(c * np.asarray(y, dtype=float)),
+            lambda y: c * np.exp(c * y), lambda y: c * c * np.exp(c * y))
 
 
 def _gauge_map(src, dst, n):
-    if src == "v" and dst == "u":
-        return _power_map(-2.0 / (n - 2))
-    if src == "u" and dst == "v":
-        return _power_map(-(n - 2) / 2.0)
-    if src == "u" and dst == "w":
-        return _log_map(1.0)
-    if src == "w" and dst == "u":
-        return _exp_map(1.0)
-    if src == "v" and dst == "w":
-        return _log_map(-2.0 / (n - 2))
-    if src == "w" and dst == "v":
-        return _exp_map(-(n - 2) / 2.0)
-    raise DomainError(f"no gauge map {src} -> {dst}")
+    maps = {("v", "u"): (_power_map, -2.0 / (n - 2)), ("u", "v"): (_power_map, -(n - 2) / 2.0),
+            ("u", "w"): (_log_map, 1.0), ("w", "u"): (_exp_map, 1.0),
+            ("v", "w"): (_log_map, -2.0 / (n - 2)), ("w", "v"): (_exp_map, -(n - 2) / 2.0)}
+    if (src, dst) not in maps:
+        raise DomainError(f"no gauge map {src} -> {dst}")
+    make, c = maps[src, dst]
+    return make(c)
 
 
 def gauge_convert(profile, target):
@@ -311,28 +329,14 @@ def gauge_convert(profile, target):
 
     if isinstance(profile, RadialProfile):
         fun, d1, d2 = profile.fun, profile.d1, profile.d2
-
-        def cfun(s):
-            return G(fun(s))
-
-        def cd1(s):
-            return G1(fun(s)) * d1(s)
-
-        def cd2(s):
-            y, y1 = fun(s), d1(s)
-            return G2(y) * y1 ** 2 + G1(y) * d2(s)
-
-        return RadialProfile(cfun, cd1, cd2, profile.n, gauge=target,
-                             background=profile.background, center=profile.center,
-                             domain=profile.domain,
-                             excludes_origin=profile.excludes_origin,
-                             label=profile.label)
+        return profile._derived(lambda s: G(fun(s)), lambda s: G1(fun(s)) * d1(s),
+                                lambda s: G2(fun(s)) * d1(s) ** 2 + G1(fun(s)) * d2(s),
+                                gauge=target)
 
     def jet_fn(x):
         val, grad, hess = profile.jet(x)
-        g1, g2 = G1(val), G2(val)
-        return (float(G(val)), g1 * grad,
-                g2 * np.outer(grad, grad) + g1 * hess)
+        g1, g2 = G1(val)[..., None], G2(val)[..., None, None]
+        return G(val), g1 * grad, g2 * _outer(grad, grad) + g1[..., None] * hess
 
     return _JetProfile(jet_fn, profile.n, target, profile.background)
 
@@ -343,12 +347,8 @@ def scale_profile(profile, t):
         raise DomainError(f"scale factor must be positive, got {t}")
     if isinstance(profile, RadialProfile):
         fun, d1, d2 = profile.fun, profile.d1, profile.d2
-        return RadialProfile(lambda s: t * fun(s), lambda s: t * d1(s),
-                             lambda s: t * d2(s), profile.n, gauge=profile.gauge,
-                             background=profile.background, center=profile.center,
-                             domain=profile.domain,
-                             excludes_origin=profile.excludes_origin,
-                             label=profile.label)
+        return profile._derived(lambda s: t * fun(s), lambda s: t * d1(s),
+                                lambda s: t * d2(s))
 
     def jet_fn(x):
         val, grad, hess = profile.jet(x)
@@ -477,6 +477,18 @@ class SchoutenMatrix:
         return self.matrix.shape[0]
 
 
+def _positive_jet(p, x):
+    val, grad, hess = p.jet(x)
+    if not val > 0.0:
+        raise PositivityError(f"profile must be positive, got {p.gauge}({x}) = {val:g}")
+    return val, grad, hess
+
+
+def _conformal_hessian(n, val, grad, hess):
+    return (-hess + (n / (n - 2.0)) * np.outer(grad, grad) / val
+            - (1.0 / (n - 2.0)) * float(grad @ grad) / val * np.eye(n))
+
+
 def conformal_hessian_matrix(p, x):
     """The conformally invariant Hessian of the V-gauge factor at ``x``.
 
@@ -488,21 +500,17 @@ def conformal_hessian_matrix(p, x):
     """
     pv = gauge_convert(p, "v")
     x = np.asarray(x, dtype=float)
-    val, grad, hess = pv.jet(x)
-    if not val > 0.0:
-        raise PositivityError(f"profile must be positive, got v({x}) = {val:g}")
-    n = pv.n
+    val, grad, hess = _positive_jet(pv, x)
     if pv.background.kind == "sphere":
         dlp = pv.background.dlog_phi(x)
         hess = hess - (np.outer(dlp, grad) + np.outer(grad, dlp)
-                       - float(dlp @ grad) * np.eye(n))
-    return (-hess + (n / (n - 2.0)) * np.outer(grad, grad) / val
-            - (1.0 / (n - 2.0)) * float(grad @ grad) / val * np.eye(n))
+                       - float(dlp @ grad) * np.eye(pv.n))
+    return _conformal_hessian(pv.n, val, grad, hess)
 
 
 def _eigvalsh(mat):
-    defect = float(np.max(np.abs(mat - mat.T)))
-    scale = 1.0 + float(np.max(np.abs(mat)))
+    defect = float(abs(mat - mat.T).max())
+    scale = 1.0 + float(abs(mat).max())
     if defect > 1e-10 * scale:
         raise NumericError(f"matrix is not symmetric (defect {defect:g})")
     try:
@@ -525,18 +533,18 @@ def flat_equivalent(p):
     if isinstance(pv, RadialProfile) and pv.centered_at_origin:
         f1, d11, d21 = pv.fun, pv.d1, pv.d2
         f2, d12, d22 = psi.fun, psi.d1, psi.d2
-        return RadialProfile(
+        return pv._derived(
             lambda s: f1(s) * f2(s),
             lambda s: d11(s) * f2(s) + f1(s) * d12(s),
             lambda s: d21(s) * f2(s) + 2.0 * d11(s) * d12(s) + f1(s) * d22(s),
-            pv.n, gauge="v", background=flat, domain=pv.domain,
-            excludes_origin=pv.excludes_origin, label=pv.label)
+            background=flat)
 
     def jet_fn(x):
         v1, g1, h1 = pv.jet(x)
         v2, g2, h2 = psi.jet(x)
-        return (v1 * v2, g1 * v2 + v1 * g2,
-                h1 * v2 + np.outer(g1, g2) + np.outer(g2, g1) + v1 * h2)
+        return (v1 * v2, g1 * v2[..., None] + v1[..., None] * g2,
+                h1 * v2[..., None, None] + _outer(g1, g2) + _outer(g2, g1)
+                + v1[..., None, None] * h2)
 
     return _JetProfile(jet_fn, pv.n, "v", flat)
 
@@ -553,17 +561,13 @@ def schouten_matrix(p, x):
         return schouten_matrix(flat_equivalent(p), x)
     if p.gauge == "w":
         return schouten_matrix(gauge_convert(p, "u"), x)
-    if p.gauge == "u":
-        val, grad, hess = p.jet(x)
-        if not val > 0.0:
-            raise PositivityError(f"profile must be positive, got u({x}) = {val:g}")
-        mat = val * hess - 0.5 * float(grad @ grad) * np.eye(p.n)
-        return SchoutenMatrix(matrix=mat, eigenvalues=_eigvalsh(mat))
-    val = p.value(x)
-    if not val > 0.0:
-        raise PositivityError(f"profile must be positive, got v({x}) = {val:g}")
     n = p.n
-    mat = (2.0 / (n - 2.0)) * val ** (-(n + 2.0) / (n - 2.0)) * conformal_hessian_matrix(p, x)
+    val, grad, hess = _positive_jet(p, x)
+    if p.gauge == "u":
+        mat = val * hess - 0.5 * float(grad @ grad) * np.eye(n)
+    else:
+        mat = ((2.0 / (n - 2.0)) * val ** (-(n + 2.0) / (n - 2.0))
+               * _conformal_hessian(n, val, grad, hess))
     return SchoutenMatrix(matrix=mat, eigenvalues=_eigvalsh(mat))
 
 
@@ -631,46 +635,32 @@ def kelvin(p):
 
     if isinstance(pv, RadialProfile) and pv.centered_at_origin:
         fun, d1, d2 = pv.fun, pv.d1, pv.d2
-
-        def kfun(s):
-            s = np.asarray(s, dtype=float)
-            return s ** a * fun(1.0 / s)
-
-        def kd1(s):
-            s = np.asarray(s, dtype=float)
-            return a * s ** (a - 1) * fun(1.0 / s) - s ** (a - 2) * d1(1.0 / s)
-
-        def kd2(s):
-            s = np.asarray(s, dtype=float)
-            return (a * (a - 1) * s ** (a - 2) * fun(1.0 / s)
-                    - (2 * a - 2) * s ** (a - 3) * d1(1.0 / s)
-                    + s ** (a - 4) * d2(1.0 / s))
-
-        return RadialProfile(kfun, kd1, kd2, n, gauge="v",
-                             background=pv.background, excludes_origin=True,
-                             label=f"kelvin({pv.label})")
+        return pv._derived(
+            lambda s: s ** a * fun(1.0 / s),
+            lambda s: a * s ** (a - 1) * fun(1.0 / s) - s ** (a - 2) * d1(1.0 / s),
+            lambda s: (a * (a - 1) * s ** (a - 2) * fun(1.0 / s)
+                       - (2 * a - 2) * s ** (a - 3) * d1(1.0 / s) + s ** (a - 4) * d2(1.0 / s)),
+            domain=(0.0, np.inf), excludes_origin=True, label=f"kelvin({pv.label})")
 
     def jet_fn(x):
-        r2 = float(x @ x)
-        if r2 == 0.0:
+        r2 = _dot(x, x)
+        if np.any(r2 == 0.0):
             raise DomainError("Kelvin transform is undefined at the origin")
-        r = np.sqrt(r2)
-        y = x / r2
-        val, grad, hess = pv.jet(y)
+        r, q2 = np.sqrt(r2), r2[..., None, None]
+        val, grad, hess = pv.jet(x / r2[..., None])
+        eye, xx = np.eye(n), _outer(x, x)
         s = r ** a
-        ds = a * r ** (a - 2.0) * x
-        d2s = a * (r ** (a - 2.0) * np.eye(n) + (a - 2.0) * r ** (a - 4.0) * np.outer(x, x))
-        jac = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
-        jg = jac @ grad
-        # second derivatives of y_k = x_k / r^2
-        kx = (-2.0 / r2 ** 2) * (np.einsum("k,jl->kjl", x, np.eye(n))
-                                 + np.einsum("j,kl->kjl", x, np.eye(n))
-                                 + np.einsum("l,kj->kjl", x, np.eye(n)))
-        kx += (8.0 / r2 ** 3) * np.einsum("k,j,l->kjl", x, x, x)
-        phess = jac @ hess @ jac + np.einsum("k,kjl->jl", grad, kx)
-        kval = s * val
-        kgrad = val * ds + s * jg
-        khess = val * d2s + np.outer(ds, jg) + np.outer(jg, ds) + s * phess
-        return kval, kgrad, khess
+        ds = (a * r ** (a - 2.0))[..., None] * x
+        d2s = a * ((r ** (a - 2.0))[..., None, None] * eye
+                   + ((a - 2.0) * r ** (a - 4.0))[..., None, None] * xx)
+        jac = (eye - 2.0 * xx / q2) / q2
+        jg = (jac @ grad[..., None])[..., 0]
+        # grad contracted with the second derivatives of y_k = x_k / r^2
+        gx = _dot(grad, x)[..., None, None]
+        phess = jac @ hess @ jac + ((-2.0 / q2 ** 2) * (gx * eye + _outer(x, grad) + _outer(grad, x))
+                                    + (8.0 / q2 ** 3) * gx * xx)
+        khess = (val[..., None, None] * d2s + _outer(ds, jg) + _outer(jg, ds)
+                 + s[..., None, None] * phess)
+        return s * val, val[..., None] * ds + s[..., None] * jg, khess
 
     return _JetProfile(jet_fn, n, "v", pv.background)

@@ -15,8 +15,9 @@ for admissible conformal metrics are about:
 * ``harnack_beta`` / ``holder_check`` -- the Holder exponent
   ``(1 - delta (n-2)) / (1 + delta)`` and sampled Holder seminorms.
 
-``scipy.stats`` is imported on the first Sobol sample of a ball, not with
-the module.
+Profiles that are not radial about the origin are sampled at quasi-random
+ball points, all in one batched jet or value call.  ``scipy.stats`` is
+imported on the first Sobol sample of a ball, not with the module.
 """
 
 import math
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
+from .conformal import _norm
 from .errors import DomainError
 
 #: Default dense 1-D scan size used by the radial monitor fast paths.
@@ -120,6 +122,20 @@ def _sobol_ball(n, radius, count, seed=0):
     return g * radii
 
 
+def _check_ball(radius, num_samples):
+    if not (radius > 0.0 and num_samples >= 1):
+        raise DomainError(f"need a positive radius and samples, got {radius}, {num_samples}")
+
+
+def _sampled(kind, radius, z, pts):
+    """The monitor at the first maximizer of ``z`` over the sample points."""
+    if not z.size:
+        raise DomainError("no sample points")
+    i = int(np.argmax(z))
+    return EstimateMonitor(kind, radius, float(z[i]), float(_norm(pts[i])),
+                           "sampled", len(pts))
+
+
 def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     """Supremum of ``rho |Dv| / v`` over the ball of the given radius.
 
@@ -127,8 +143,7 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     dense 1-D grid; other profiles are sampled at quasi-random ball points
     (or at explicitly provided ``points``).
     """
-    if not radius > 0.0:
-        raise DomainError(f"monitor radius must be positive, got {radius}")
+    _check_ball(radius, num_samples)
     pv = conformal.gauge_convert(p, "v")
     if isinstance(pv, conformal.RadialProfile) and pv.centered_at_origin and points is None:
         lo = radius / num_samples if pv.excludes_origin else max(pv.domain[0], 0.0)
@@ -138,13 +153,9 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
         return EstimateMonitor("gradient", radius, float(z[i]), float(s[i]),
                                "radial", num_samples)
     pts = _sobol_ball(pv.n, radius, num_samples) if points is None else np.asarray(points)
-    best, loc = -np.inf, 0.0
-    for x in pts:
-        val, grad, _ = pv.jet(x)
-        z = float(cutoff(np.linalg.norm(x), radius) * np.linalg.norm(grad) / val)
-        if z > best:
-            best, loc = z, float(np.linalg.norm(x))
-    return EstimateMonitor("gradient", radius, best, loc, "sampled", len(pts))
+    val, grad, _ = pv.jet(pts)
+    z = cutoff(_norm(pts), radius) * _norm(grad) / val
+    return _sampled("gradient", radius, z, pts)
 
 
 def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
@@ -152,10 +163,9 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
 
     The profile is converted to the U gauge; the extremal direction of the
     Hessian of a radial ``u`` is either radial (second derivative) or
-    tangential (``u'/s``).
+    tangential (``u'/s``).  Sampled points share one batched eigendecomposition.
     """
-    if not radius > 0.0:
-        raise DomainError(f"monitor radius must be positive, got {radius}")
+    _check_ball(radius, num_samples)
     pu = conformal.gauge_convert(p, "u")
     if isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin and points is None:
         lo = radius / num_samples if pu.excludes_origin else max(pu.domain[0], 0.0)
@@ -169,14 +179,10 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
                                "radial" if rad[i] >= tang[i] else "tangential",
                                num_samples)
     pts = _sobol_ball(pu.n, radius, num_samples) if points is None else np.asarray(points)
-    best, loc = -np.inf, 0.0
-    for x in pts:
-        _, _, hess = pu.jet(x)
-        eigs = np.linalg.eigvalsh(0.5 * (hess + hess.T))
-        z = float(cutoff(np.linalg.norm(x), radius) ** 2 * np.max(np.abs(eigs)))
-        if z > best:
-            best, loc = z, float(np.linalg.norm(x))
-    return EstimateMonitor("hessian", radius, best, loc, "sampled", len(pts))
+    hess = pu.hessian(pts)
+    eigs = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    z = cutoff(_norm(pts), radius) ** 2 * np.max(np.abs(eigs), axis=-1)
+    return _sampled("hessian", radius, z, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +212,12 @@ class BlowupProfile(conformal.Profile):
         self.dilation = scale
         self.center_value = float(val0)
 
+    def value(self, y):
+        x = self.center + np.asarray(y, dtype=float) / self.dilation
+        return self.base.value(x) / self.center_value
+
     def jet(self, y):
-        y = np.asarray(y, dtype=float)
-        x = self.center + y / self.dilation
-        val, grad, hess = self.base.jet(x)
+        val, grad, hess = self.base.jet(self.center + np.asarray(y, dtype=float) / self.dilation)
         return (val / self.center_value,
                 grad / (self.dilation * self.center_value),
                 hess / (self.dilation ** 2 * self.center_value))
@@ -226,6 +234,7 @@ def oscillation_on_ball(p, radius, num_samples=4096):
     Radial structure is exploited exactly: the image of the ball under the
     blow-up coordinates covers an interval of radii of the base profile.
     """
+    _check_ball(radius, num_samples)
     if isinstance(p, BlowupProfile) and isinstance(p.base, conformal.RadialProfile) \
             and p.base.centered_at_origin:
         s_k = float(np.linalg.norm(p.center))
@@ -233,16 +242,12 @@ def oscillation_on_ball(p, radius, num_samples=4096):
         lo = max(s_k - half, 0.0)
         if p.base.excludes_origin:
             lo = max(lo, (s_k + half) / num_samples)
-        s = np.linspace(lo, s_k + half, num_samples)
-        vals = p.base.radial_value(s) / p.center_value
-        return float(np.max(vals) - np.min(vals))
-    if isinstance(p, conformal.RadialProfile) and p.centered_at_origin:
+        vals = p.base.radial_value(np.linspace(lo, s_k + half, num_samples)) / p.center_value
+    elif isinstance(p, conformal.RadialProfile) and p.centered_at_origin:
         lo = radius / num_samples if p.excludes_origin else 0.0
-        s = np.linspace(lo, radius, num_samples)
-        vals = p.radial_value(s)
-        return float(np.max(vals) - np.min(vals))
-    pts = _sobol_ball(p.n, radius, num_samples)
-    vals = np.array([p.value(x) for x in pts])
+        vals = p.radial_value(np.linspace(lo, radius, num_samples))
+    else:
+        vals = p.value(_sobol_ball(p.n, radius, num_samples))
     return float(np.max(vals) - np.min(vals))
 
 

@@ -150,6 +150,19 @@ class CurvatureOperator:
         return (fp - 2.0 * f0 + fm) / np.squeeze(h, axis=-1) ** 2
 
 
+def _rescaled_gradient(fn, ls):
+    """``fn(ls) -> (gradient, sigmas)``, evaluated again on the rows where one
+    of the sigmas is non-finite or 0, after scaling those rows by a power of
+    two to ``1 <= max |lam_i| < 2``.  The gradient is 0-homogeneous, so the
+    scaling only moves the sigmas back into the float range; the other rows
+    keep their bits."""
+    grad, sigmas = fn(ls)
+    redo = ~np.all(np.isfinite(sigmas) & (sigmas != 0.0), axis=0)
+    if np.any(redo):
+        grad[redo] = fn(cones._unit_rows(ls[redo])[0])[0]
+    return grad
+
+
 def _quotient_quadform(lam, b, k, l):
     """``d2/dt2 f(lam + t b)`` at ``t = 0`` for ``f = (sigma_k / sigma_l)^(1/(k-l))``.
 
@@ -189,10 +202,13 @@ class SigmaKRoot(CurvatureOperator):
     def _gradient_sorted(self, ls):
         if self.k == 1:
             return np.ones_like(ls)
+        return _rescaled_gradient(self._raw_gradient, ls)
+
+    def _raw_gradient(self, ls):
         s = _poly.sigma(ls, self.k)
         partial = _poly.elementary_excluding(ls, self.k - 1)[..., :, self.k - 1]
         pref = (1.0 / self.k) * np.power(s, 1.0 / self.k - 1.0)
-        return pref[..., None] * partial
+        return pref[..., None] * partial, s[None]
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, 0)
@@ -229,6 +245,9 @@ class Quotient(CurvatureOperator):
         return np.power(sk / sl, 1.0 / (self.k - self.l))
 
     def _gradient_sorted(self, ls):
+        return _rescaled_gradient(self._raw_gradient, ls)
+
+    def _raw_gradient(self, ls):
         k, l = self.k, self.l
         sk, sl = self._sigmas(ls)
         f = np.power(sk / sl, 1.0 / (k - l))
@@ -236,7 +255,7 @@ class Quotient(CurvatureOperator):
         dk = ex[..., :, k - 1]
         dl = ex[..., :, l - 1] if l >= 1 else np.zeros_like(ls)
         ratio = dk / sk[..., None] - dl / sl[..., None]
-        return (f / (k - l))[..., None] * ratio
+        return (f / (k - l))[..., None] * ratio, np.stack([sk, sl])
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, self.l)
@@ -273,8 +292,13 @@ class PucciMin(CurvatureOperator):
         return self.value(lam) > 0.0
 
     def diagonal_shift(self, lam):
-        # f is linear along the diagonal: f(lam + t 1) = f(lam) + (n delta + k) t.
-        return -self.value(lam) / (self.n * self.delta + self.k)
+        # f is linear along the diagonal: f(lam + t 1) = f(lam) + (n delta + k) t;
+        # for delta > 1 divided through by delta, so that nothing overflows.
+        d = self.delta
+        if d <= 1.0:
+            return -self.value(lam) / (self.n * d + self.k)
+        low = np.sum(np.sort(lam, axis=-1)[..., :self.k], axis=-1)
+        return -(np.sum(lam, axis=-1) + low / d) / (self.n + self.k / d)
 
     def _value_sorted(self, ls):
         return self.delta * np.sum(ls, axis=-1) + np.sum(ls[..., :self.k], axis=-1)
@@ -437,9 +461,15 @@ class Shifted(CurvatureOperator):
             return (np.sum(lam, axis=-1) > 0.0) & self.inner.admissible(self._shift(lam))
 
     def diagonal_shift(self, lam):
-        # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1.
-        inner = self.inner.cone.diagonal_shift(self._shift(lam))
-        return np.maximum(-np.mean(lam, axis=-1), inner / (1.0 + self.n * self.delta))
+        # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1; for delta > 1
+        # divided through by delta (the inner t* is 1-homogeneous), so that
+        # delta * sum and n * delta cannot overflow.
+        d, inner = self.delta, self.inner.cone.diagonal_shift
+        if d <= 1.0:
+            t = inner(self._shift(lam)) / (1.0 + self.n * d)
+        else:
+            t = inner(lam / d + np.sum(lam, axis=-1, keepdims=True)) / (1.0 / d + self.n)
+        return np.maximum(-np.mean(lam, axis=-1), t)
 
     # Adding one scalar per row keeps a sorted row sorted (rounding is
     # monotone), so the inner operator runs on the shifted row as it is.
@@ -557,6 +587,7 @@ def _random_orthogonal(n, rng):
     return q * np.sign(np.diag(r))
 
 
+@np.errstate(**_QUIET)
 def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsample=64):
     """Sample the operator's cone and count violations of its axioms.
 
@@ -564,7 +595,8 @@ def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsam
     symmetry, homogeneity for random scalings t in (0.1, 10), invariance of
     the induced matrix function under orthogonal conjugation, and decay of f
     along rays approaching the cone boundary.  Violations are counted, never
-    raised.
+    raised; a sweep whose values or defects leave the float range (a huge
+    ``delta``, say) raises :class:`NumericError`.
     """
     if samples <= 0:
         raise DomainError(f"samples must be positive, got {samples}")
@@ -631,6 +663,8 @@ def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsam
     violations["boundary_decay"] = int(np.count_nonzero(bad))
     worst["boundary_decay"] = float(np.max(ratios[-1]))
 
+    if not all(np.all(np.isfinite(a)) for a in (f, g, list(worst.values()))):
+        raise NumericError(f"axiom sweep of {spec.descriptor()} leaves the float range")
     return AxiomReport(
         operator=spec.descriptor(),
         n=spec.n,

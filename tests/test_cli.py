@@ -93,7 +93,9 @@ def test_out_of_range_inputs_exit_one_without_traceback(capsys):
                  ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "grad",
                   "--radius", "0"],
                  ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "hess",
-                  "--radius", "0"]):
+                  "--radius", "0"],
+                 ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--kind", "grad",
+                  "--radius", "1", "--samples", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == "" and err.startswith("error:"), argv
@@ -106,11 +108,15 @@ def test_overflow_is_a_numeric_failure_or_a_correct_margin(capsys):
                        "--lambda", "1e308,1e308,1", "--format", "json")
     assert code == 0
     assert json.loads(out)["boundary_shift"] == pytest.approx(-1e308 / 3, rel=1e-15)
-    for command in ("eval", "grad"):
-        code, out, err = run(capsys, command, "--op", "sigma-root:k=2", "--n", "3",
-                             "--lambda", "1e308,1e308,1")
-        assert code == 2, command
-        assert out == "" and err.startswith("numeric failure:"), command
+    code, out, err = run(capsys, "eval", "--op", "sigma-root:k=2", "--n", "3",
+                         "--lambda", "1e308,1e308,1")
+    assert code == 2
+    assert out == "" and err.startswith("numeric failure:")
+    # the gradient is 0-homogeneous, so it is evaluated on the scaled row
+    code, out, _ = run(capsys, "grad", "--op", "sigma-root:k=2", "--n", "3",
+                       "--lambda", "1e308,1e308,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gradient"] == pytest.approx([0.5, 0.5, 1.0], rel=1e-15)
 
 
 def test_membership_far_from_unit_scale(capsys):
@@ -415,6 +421,29 @@ def test_gamma_n_margin_is_exact_at_every_magnitude(capsys):
     assert (code, out) == (0, "inside (margin 1e-300)\n")
 
 
+def test_gradient_is_exact_where_sigma_leaves_the_float_range(capsys):
+    # sigma_k over- or underflows, but the gradient is 0-homogeneous
+    cases = (("sigma-root:k=2", "1e200,1e200,1e200", [3 ** -0.5] * 3),
+             ("sigma-root:k=3", "1e150,1e150,1e150", [1 / 3] * 3),
+             ("quotient:k=3,l=1", "1e200,1e200,1e200", [3 ** -1.5] * 3),
+             ("quotient:k=2,l=1", "1e-300,2e-300,3e-300", [19 / 36, 13 / 36, 7 / 36]),
+             ("shifted:delta=1e300,inner=sigma-root:k=2", "1,2,3", [3 ** 0.5 * 1e300] * 3))
+    for op, lam, want in cases:
+        code, out, err = run(capsys, "grad", "--op", op, "--n", "3", f"--lambda={lam}",
+                             "--format", "json")
+        assert (code, err) == (0, ""), op
+        assert json.loads(out)["gradient"] == pytest.approx(want, rel=1e-14), op
+
+
+def test_axioms_at_a_huge_delta_is_a_numeric_failure(capsys):
+    for op in ("pucci:k=2,delta=1e308", "shifted:delta=1e308,inner=sigma-root:k=2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "axioms", "--op", op, "--n", "3", "--samples", "200")
+        assert code == 2 and out == "", op
+        assert err.startswith("numeric failure:") and "float range" in err, op
+
+
 def test_trace_shift_overflow_is_a_numeric_failure(capsys):
     # every entry is finite, but lam + sum(lam) (1,..,1) overflows
     for command in ("eval", "grad"):
@@ -426,7 +455,7 @@ def test_trace_shift_overflow_is_a_numeric_failure(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Property tests: every eval/grad/cone call ends with a documented exit code
+# Property tests: every eval/grad/cone/axioms call ends with a documented exit code
 # ---------------------------------------------------------------------------
 
 #: Numbers at the edges of the float range, as a shell user would type them.
@@ -489,17 +518,21 @@ def cone_descriptors(draw, n):
 @given(st.data())
 def test_cli_exits_with_a_documented_code_on_any_input(data):
     n = data.draw(mostly(st.integers(3, 6), st.integers(0, 9)), label="n")
-    command = data.draw(st.sampled_from(("eval", "grad", "cone")), label="command")
+    command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms")), label="command")
     if command == "cone":
         flag, descriptor = "--cone", data.draw(cone_descriptors(max(n, 1)), label="cone")
     else:
         flag, descriptor = "--op", data.draw(operator_descriptors(max(n, 1)), label="op")
-    size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
-    lam = ",".join(data.draw(st.lists(numbers(), min_size=size, max_size=size),
-                             label="lambda"))
-    lam_args = data.draw(st.sampled_from((["--lambda", lam], ["--lambda=" + lam])))
+    if command == "axioms":
+        samples = data.draw(mostly(st.integers(1, 16), st.integers(-2, 0)), label="samples")
+        args = ["--samples", str(samples)]
+    else:
+        size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
+        lam = ",".join(data.draw(st.lists(numbers(), min_size=size, max_size=size),
+                                 label="lambda"))
+        args = data.draw(st.sampled_from((["--lambda", lam], ["--lambda=" + lam])))
     fmt = data.draw(st.sampled_from(("text", "json")), label="format")
-    argv = [command, flag, descriptor, "--n", str(n), *lam_args, "--format", fmt]
+    argv = [command, flag, descriptor, "--n", str(n), *args, "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -57,8 +57,11 @@ def rows(draw, n):
 
 
 def assert_matches_oracle(cone, lam):
+    """``boundary_shift`` within 1e-10 of the row scale, and never closer than
+    one ulp of the oracle: below that the rounding of a tie decides."""
     t = float(cones.boundary_shift(cone, lam))
-    assert abs(t - float(bisection_shift(cone, lam)[0])) <= 1e-10 * _oracle_scale(lam)
+    want = float(bisection_shift(cone, lam)[0])
+    assert abs(t - want) <= max(1e-10 * _oracle_scale(lam), np.spacing(abs(want)))
 
 
 def test_gamma_membership_examples():
@@ -186,6 +189,14 @@ def test_pucci_boundary_shift_matches_bisection(data):
     pucci = symfun.PucciMin(n=n, k=data.draw(st.integers(1, n)),
                             delta=data.draw(st.floats(0.0, 2.0)))
     assert_matches_oracle(pucci.cone, data.draw(rows(n)))
+
+
+def test_pucci_boundary_shift_subnormal_tie():
+    # the exact shift is 4.5 subnormal steps: boundary_shift rounds it to
+    # 2e-323 (ties to even), the bisection lands on 2.5e-323
+    lam = np.array([0.0, -3e-323, -3e-323, -3e-323])
+    assert float(cones.boundary_shift(symfun.PucciMin(n=4, k=4, delta=0.0).cone, lam)) == 2e-323
+    assert_matches_oracle(symfun.PucciMin(n=4, k=4, delta=0.0).cone, lam)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confhess import conformal as cf
+from confhess import diagnostics as dg
 from confhess.errors import DomainError, PositivityError
 
 
@@ -364,3 +367,59 @@ def test_grid_profile_validation():
         cf.grid_radial_profile(np.array([0.0, 0.1, 0.1, 0.3]), np.ones(4), 4)
     with pytest.raises(DomainError):
         cf.grid_radial_profile(np.array([0.0, 0.1, 0.2]), np.ones(3), 4)
+
+
+# ---------------------------------------------------------------------------
+# batched jets
+# ---------------------------------------------------------------------------
+
+def profile_kinds(n):
+    """One profile of every kind, defined on the cube [-1, 1]^n shifted by
+    ``offset`` (the Kelvin transform needs points away from the origin)."""
+    c = np.linspace(0.1, 0.3, n)
+    bubble = cf.bubble_profile(n, scale=0.8, center=c)
+    stencil = cf.CallableProfile(lambda x: float(bubble.value(x)), n)
+    sphere = cf.bubble_profile(n, center=c, background=cf.SphereBackground(n))
+    return {
+        "radial": (bubble, c),
+        "callable": (stencil, c),
+        "gauge": (cf.gauge_convert(stencil, "u"), c),
+        "scaled": (cf.scale_profile(stencil, 2.5), c),
+        "sphere": (cf.flat_equivalent(sphere), c),
+        "kelvin": (cf.kelvin(bubble), np.full(n, 2.0)),
+        "blowup": (dg.blowup_rescale(bubble, c + 0.2), c),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_jet_equals_stacked_point_jets(data):
+    n = data.draw(st.integers(3, 5), label="n")
+    kind = data.draw(st.sampled_from(sorted(profile_kinds(n))), label="kind")
+    p, offset = profile_kinds(n)[kind]
+    shape = data.draw(st.sampled_from(((1,), (5,), (2, 3))), label="shape")
+    unit = st.floats(-1.0, 1.0)
+    x = np.array(data.draw(st.lists(unit, min_size=n * int(np.prod(shape)),
+                                    max_size=n * int(np.prod(shape))))).reshape(shape + (n,))
+    x = x + offset
+    if kind == "radial":
+        x.reshape(-1, n)[0] = p.center         # s = 0 inside a batch
+    batch = p.jet(x)
+    points = [p.jet(pt) for pt in x.reshape(-1, n)]
+    for got, part, tail in zip(batch, zip(*points), ((), (n,), (n, n))):
+        want = np.array(part).reshape(shape + tail)
+        assert got.shape == want.shape, kind
+        # ulps of the largest entry: numpy's array and scalar loops round differently
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.max(np.abs(want)))), kind
+    assert np.array_equal(p.value(x), batch[0]), kind
+    val, grad, hess = points[0]
+    assert isinstance(val, float) and grad.shape == (n,) and hess.shape == (n, n)
+
+
+def test_radial_value_evaluates_the_profile_only():
+    n = 4
+    b = cf.bubble_profile(n, center=np.full(n, 0.1))
+    boom = lambda s: 1 / 0
+    p = cf.RadialProfile(b.fun, boom, boom, n, center=b.center)
+    x = np.random.default_rng(0).uniform(-1, 1, (8, n))
+    assert np.array_equal(p.value(x), b.jet(x)[0])

@@ -75,6 +75,42 @@ def test_monitor_sampled_path_agrees_with_radial_path():
     assert abs(sampled.supremum - radial.supremum) < 0.05 * radial.supremum
 
 
+def counted_bubble(n, gauge, calls):
+    """A shifted bubble (so the monitors sample it) in the given gauge whose
+    closures count their calls."""
+    b = cf.gauge_convert(cf.bubble_profile(n, scale=0.7, center=np.full(n, 0.1)), gauge)
+
+    def counted(name, fn):
+        def f(s):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(s)
+        return f
+
+    return cf.RadialProfile(counted("fun", b.fun), counted("d1", b.d1), counted("d2", b.d2),
+                            n, gauge=gauge, center=b.center)
+
+
+def test_sampled_paths_make_one_batched_profile_call():
+    calls = {}
+    mon = dg.gradient_monitor(counted_bubble(4, "v", calls), 1.0, num_samples=1024)
+    assert mon.direction == "sampled" and calls == {"fun": 1, "d1": 1, "d2": 1}
+    calls.clear()
+    mon = dg.hessian_monitor(counted_bubble(4, "u", calls), 1.0, num_samples=1024)
+    assert mon.direction == "sampled" and calls == {"fun": 1, "d1": 1, "d2": 1}
+    calls.clear()
+    dg.oscillation_on_ball(counted_bubble(4, "v", calls), 1.0, num_samples=1024)
+    assert calls == {"fun": 1}
+
+
+def test_sampled_monitors_need_a_sample():
+    p = cf.bubble_profile(4, center=np.full(4, 0.1))
+    for fn in (dg.gradient_monitor, dg.hessian_monitor, dg.oscillation_on_ball):
+        with pytest.raises(DomainError):
+            fn(p, 1.0, num_samples=0)
+    with pytest.raises(DomainError):
+        dg.gradient_monitor(p, 1.0, points=np.empty((0, 4)))
+
+
 # ---------------------------------------------------------------------------
 # blow-up rescaling
 # ---------------------------------------------------------------------------

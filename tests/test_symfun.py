@@ -118,6 +118,17 @@ def test_gradient_symmetric_point():
             assert np.allclose(g, comb(n, k) ** (1.0 / k) / n, rtol=1e-12)
 
 
+def test_gradient_rescales_only_rows_whose_sigmas_leave_the_float_range():
+    lam = np.array([[1.0, 2.0, 3.0], [1e200, 1e200, 1e200], [1e-300, 2e-300, 3e-300]])
+    for spec in (symfun.SigmaKRoot(n=3, k=2), symfun.Quotient(n=3, k=2, l=1)):
+        g = spec.gradient(lam)
+        assert np.array_equal(g[0], spec._raw_gradient(lam[:1])[0][0]), spec
+        assert np.all(np.isfinite(g) & (g > 0.0)), spec
+        assert np.allclose(g[2], g[0], rtol=1e-14, atol=0.0), spec
+    assert np.allclose(symfun.SigmaKRoot(n=3, k=2).gradient(lam[1]), 3 ** -0.5,
+                       rtol=1e-15, atol=0.0)
+
+
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(11)
     h = 1e-6
