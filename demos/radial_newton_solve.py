@@ -35,7 +35,7 @@ def main():
     print(f"worst admissibility margin: {np.min(-out.margins):.4f}")
 
     print("\ngrid refinement against the exact solution:")
-    study = radial_solver.convergence_study(dataclasses.replace(cfg, grid=32), 3, bubble)
+    study = radial_solver.convergence_study(dataclasses.replace(cfg, grid=32), 6, bubble)
     for (grid, sup), label in zip(study.levels, ["", *[f"order {o:.3f}" for o in study.orders]]):
         print(f"  N = {grid:4d}: sup error {sup:.3e}  {label}")
 

@@ -223,6 +223,7 @@ def _cmd_solve(args):
     result = radial_solver.newton_solve(cfg)
     payload = {"config": cfg.to_dict(), "result": result.to_dict()}
     lines = [f"converged: {result.converged} after {result.newton_steps} Newton steps",
+             f"status: {result.message}",
              f"residual max-norm: {_fmt(result.residual_norm)}",
              f"worst admissibility margin: {_fmt(float(np.min(-result.margins)))}"]
     if getattr(args, "profile_out", None):

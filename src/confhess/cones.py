@@ -90,8 +90,16 @@ class GammaK:
         """Largest root ``t*`` of ``q(t) = sigma_k(lam + t 1)``, real-rooted as
         GammaK is its hyperbolicity cone (Garding).  Newton starts right of
         ``t*`` at ``-min lam_i`` (the closed orthant), where ``q`` is increasing
-        and convex, so the iterates fall monotonically to ``t*``."""
+        and convex, so the iterates fall monotonically to ``t*``.  At k = 2, ``q``
+        is quadratic: ``t* = r - mean``, ``r^2 = sum (lam_i - mean)^2 / (n (n-1))``,
+        or ``-2 sigma_2 / (n (n-1) (mean + r))``, free of cancellation, if mean > 0."""
         n, k = self.n, self.k
+        if k == 2:
+            mean = np.mean(lam, axis=-1)
+            r = np.sqrt(np.sum((lam - mean[..., None]) ** 2, axis=-1) / (n * (n - 1)))
+            s2 = _poly.elementary_all(lam, 2)[..., 2]
+            with np.errstate(divide="ignore", invalid="ignore"):    # rows taking r - mean
+                return np.where(mean > 0.0, -2.0 * s2 / (n * (n - 1) * (mean + r)), r - mean)
         t = -np.mean(lam, axis=-1) if k == 1 else -np.min(lam, axis=-1)
         if k in (1, n):
             return t
@@ -146,11 +154,15 @@ class SigmaDelta:
         return self._margin(lam)[0][..., 0] > 0.0
 
     def diagonal_shift(self, lam):
-        d = self.delta
+        """``a min lam_i + b sum lam_i``, the sum on rows scaled by a power of two, and
+        for delta > 1 ``a``, ``b`` divided through by delta: nothing overflows."""
+        d, n = self.delta, self.n
         if d <= 1.0:
-            return -self.margin_value(lam) / (1.0 + self.n * d)
-        # divided through by delta, so that delta * sum and n * delta cannot overflow
-        return -(np.min(lam, axis=-1) / d + np.sum(lam, axis=-1)) / (1.0 / d + self.n)
+            a, b = -1.0 / (1.0 + n * d), -d / (1.0 + n * d)
+        else:
+            a, b = -(1.0 / d) / (1.0 / d + n), -1.0 / (1.0 / d + n)
+        x, p = _unit_rows(lam)
+        return a * np.min(lam, axis=-1) + np.ldexp(b * np.sum(x, axis=-1), p)
 
     def violation(self, lam):
         (val,), (p,) = self._margin(lam)
@@ -217,8 +229,8 @@ def boundary_shift(cone, lam):
     supported cone is convex and contains the positive diagonal ray), so the
     crossing is unique and each cone's ``diagonal_shift`` locates it exactly,
     on rows scaled by a power of two to ``1 <= max |lam_i| < 2`` (``t*`` is
-    homogeneous, and no symmetric polynomial overflows).  Gamma_n's
-    ``-min lam_i`` runs on the rows as given, where no entry underflows.
+    homogeneous, and no symmetric polynomial overflows).  Gamma_n and SigmaDelta
+    take their ``min lam_i`` on the rows as given, where no entry underflows.
     Non-finite tuples have no crossing and raise :class:`DomainError`.
     """
     lam = np.asarray(lam, dtype=float)
@@ -226,8 +238,8 @@ def boundary_shift(cone, lam):
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
     if not np.all(np.isfinite(lam)):
         raise DomainError("boundary_shift requires finite tuples")
-    if isinstance(cone, GammaK) and cone.k == cone.n:
-        return -np.min(lam, axis=-1)
+    if isinstance(cone, SigmaDelta) or (isinstance(cone, GammaK) and cone.k == cone.n):
+        return cone.diagonal_shift(lam)
     x, p = _unit_rows(lam.reshape(-1, cone.n))
     return np.ldexp(cone.diagonal_shift(x), p).reshape(lam.shape[:-1])[()]
 

@@ -38,7 +38,7 @@ PUCCI_TIE_TOL = 1e-12
 
 #: Default tolerances used by verify_axioms.
 HOMOGENEITY_TOL = 1e-12     # relative, axiom f5
-CONCAVITY_TOL = 1e-12       # absolute midpoint defect, axiom f3
+CONCAVITY_TOL = 1e-12       # relative to max(|f(lam)|, |f(mu)|), axiom f3
 PERMUTATION_TOL = 1e-14     # relative, axiom f4
 ORTHOGONAL_TOL = 1e-9       # relative, invariance under conjugation
 BOUNDARY_DECAY = 0.5        # required decay factor approaching the boundary
@@ -561,7 +561,12 @@ def concavity_quadform(spec, lam, b):
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Violation counts and worst defects from an axiom sweep."""
+    """Violation counts and worst defects from an axiom sweep.
+
+    The concavity (f3), permutation (f4), homogeneity (f5) and orthogonal
+    invariance defects, and their ``tolerances``, are relative to the values
+    compared; ``boundary_decay`` is a ratio of values.
+    """
 
     operator: str
     n: int
@@ -591,7 +596,9 @@ def _random_orthogonal(n, rng):
 def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsample=64):
     """Sample the operator's cone and count violations of its axioms.
 
-    Checks positivity, gradient positivity, midpoint concavity, permutation
+    Checks positivity, gradient positivity, midpoint concavity (the defect
+    ``f((lam + mu)/2) - (f(lam) + f(mu))/2`` relative to ``max(|f(lam)|,
+    |f(mu)|)``, so that rounding at large values is no violation), permutation
     symmetry, homogeneity for random scalings t in (0.1, 10), invariance of
     the induced matrix function under orthogonal conjugation, and decay of f
     along rays approaching the cone boundary.  Violations are counted, never
@@ -615,7 +622,9 @@ def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsam
     worst["f2_gradient_positive"] = float(np.min(g))
 
     mu = cones.sample_cone(cone, samples, rng)
-    defect = spec.value(0.5 * (lam + mu)) - 0.5 * (f + spec.value(mu))
+    f_mu = spec.value(mu)
+    scale = np.maximum(np.abs(f), np.abs(f_mu))
+    defect = (spec.value(0.5 * (lam + mu)) - 0.5 * (f + f_mu)) / np.where(scale > 0.0, scale, 1.0)
     violations["f3_concavity"] = int(np.count_nonzero(defect < -CONCAVITY_TOL))
     worst["f3_concavity"] = float(np.min(defect))
 

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +282,13 @@ def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     assert "converged: False" in out
 
 
+def test_solve_fine_grid_converges_at_the_rounding_floor(capsys):
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "bubble_annulus.json"
+    code, out, _ = run(capsys, "solve", "--config", str(config), "--grid", "1024")
+    assert code == 0
+    assert "converged: True" in out and "status: converged (rounding floor)" in out
+
+
 def test_solve_csv_profile(tmp_path, capsys):
     cfg_path = write_bubble_config(tmp_path)
     code, out, _ = run(capsys, "solve", "--config", str(cfg_path), "--format", "csv")
@@ -415,10 +423,20 @@ def test_non_finite_delta_is_a_usage_error(capsys):
 
 
 def test_gamma_n_margin_is_exact_at_every_magnitude(capsys):
-    # -min lam_i, though 1e-300 is below 2^-1074 of the row maximum
-    code, out, _ = run(capsys, "cone", "--cone", "gamma:k=3", "--n", "3",
-                       "--lambda=1e300,1e-300,1")
-    assert (code, out) == (0, "inside (margin 1e-300)\n")
+    # -min lam_i, though 1e-300 is below 2^-1074 of the row maximum; sigma with
+    # delta = 0 is the same cone
+    for cone in ("gamma:k=3", "sigma:delta=0"):
+        code, out, _ = run(capsys, "cone", "--cone", cone, "--n", "3",
+                           "--lambda=1e300,1e-300,1")
+        assert (code, out) == (0, "inside (margin 1e-300)\n"), cone
+    # sigma's sum term is taken on the scaled row, where 2e308 does not overflow
+    code, out, _ = run(capsys, "cone", "--cone", "sigma:delta=0", "--n", "3",
+                       "--lambda=1e308,1e308,1")
+    assert (code, out) == (0, "inside (margin 1)\n")
+    code, out, _ = run(capsys, "cone", "--cone", "sigma:delta=1e308", "--n", "3",
+                       "--lambda=1e308,1e308,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["boundary_shift"] == pytest.approx(-1e308 / 3 * 2, rel=1e-15)
 
 
 def test_gradient_is_exact_where_sigma_leaves_the_float_range(capsys):

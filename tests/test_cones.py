@@ -191,6 +191,22 @@ def test_pucci_boundary_shift_matches_bisection(data):
     assert_matches_oracle(pucci.cone, data.draw(rows(n)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gamma2_closed_form_matches_bisection_to_rounding(data):
+    # sigma_2(lam + t 1) is quadratic in t: the closed form is exact to a few
+    # ulps of the row scale, for either sign of the mean
+    n = data.draw(st.integers(3, 8))
+    lam = data.draw(rows(n))
+    if data.draw(st.booleans()) != (np.mean(lam) > 0.0):
+        lam = -lam
+    cone = cones.GammaK(n, 2)
+    eps = np.finfo(float).eps
+    t = float(cones.boundary_shift(cone, lam))
+    want = float(bisection_shift(cone, lam, tol=eps)[0])
+    assert abs(t - want) <= 4.0 * eps * float(_oracle_scale(lam))
+
+
 def test_pucci_boundary_shift_subnormal_tie():
     # the exact shift is 4.5 subnormal steps: boundary_shift rounds it to
     # 2e-323 (ties to even), the bisection lands on 2.5e-323
@@ -228,10 +244,11 @@ def test_boundary_shift_two_valued_rows_closed_form():
 
 
 def test_boundary_shift_newton_cap_raises(monkeypatch):
-    # this row needs more than one Newton step from t = -min lam_i
+    # this row needs more than one Newton step from t = -min lam_i (Gamma_2 has
+    # a closed form, so the cap is exercised on Gamma_3)
     monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 1)
     with pytest.raises(NumericError):
-        cones.boundary_shift(cones.GammaK(4, 2), [-1.0, 1.0, 2.0, 3.0])
+        cones.boundary_shift(cones.GammaK(4, 3), [-1.0, 1.0, 2.0, 3.0])
 
 
 def test_boundary_shift_rejects_non_finite_tuples():

@@ -254,6 +254,42 @@ def test_convergence_study_second_order():
         assert 1.7 < order < 2.3
 
 
+def test_convergence_study_second_order_down_to_the_rounding_floor():
+    # grids 512 and 1024 stop at the rounding floor, not in damping underflow
+    study = rs.convergence_study(bubble_cfg(grid=32), 6, cf.bubble_profile(N_DIM))
+    assert [g for g, _ in study.levels] == [32, 64, 128, 256, 512, 1024]
+    for order in study.orders:
+        assert 1.7 < order < 2.3
+
+
+@pytest.mark.parametrize("grid", [32, 64, 128, 256])
+def test_coarse_grids_reach_the_residual_tolerance(grid):
+    out = rs.newton_solve(bubble_cfg(grid=grid))
+    assert out.converged and out.message == "converged"
+    assert out.residual_norm < 1e-10
+
+
+def test_fine_grid_stops_at_the_rounding_floor():
+    # the residual's rounding level, about eps/h^2, lies far above 1e-10 at
+    # grid 8192; the solution there is still O(h^2)-accurate
+    cfg = bubble_cfg(grid=8192)
+    out = rs.newton_solve(cfg)
+    assert out.converged and out.message == "converged (rounding floor)"
+    assert out.residual_norm > cfg.residual_tol
+    err = np.max(np.abs(out.v - cf.bubble_profile(N_DIM).radial_value(out.r)))
+    assert err * 8192 ** 2 == pytest.approx(1.22, abs=0.02)
+
+
+def test_history_records_trials_and_step_norms():
+    out = rs.newton_solve(bubble_cfg(grid=256))
+    first, *steps = out.history
+    assert (first["trials"], first["step_norm"]) == (0, 0.0)
+    assert len(steps) == out.newton_steps
+    # every rejected trial halves the damping
+    assert all(h["trials"] == 1 - np.log2(h["damping"]) for h in steps)
+    assert all(h["step_norm"] > 0.0 for h in steps)
+
+
 def test_convergence_study_constant_data_rejected():
     # phi matched to zero eigenvalues asks for a profile on the cone
     # boundary; the admissibility gate refuses the initial guess

@@ -448,6 +448,41 @@ def test_verify_axioms_pucci():
         assert report.violations[key] == 0, (key, report.violations)
 
 
+def test_verify_axioms_concavity_is_relative_to_the_values():
+    # PucciMin is concave; at delta = 1e20 its values are ~1e20, and the
+    # midpoint defect's rounding of ~1e4 is no violation
+    for delta in (1e20, 1e300):
+        report = symfun.verify_axioms(symfun.PucciMin(n=3, k=2, delta=delta), 200, seed=12345)
+        assert report.violations["f3_concavity"] == 0, delta
+        assert abs(report.worst["f3_concavity"]) < 1e-14, delta
+
+
+class ScaledQuadraticOverLinear:
+    """``c |lam|^2 / sum lam_i`` on the positive orthant: symmetric and
+    1-homogeneous, but convex, not concave."""
+
+    def __init__(self, n, c):
+        self.n, self.c, self.alpha = n, c, 1.0
+        self.cone = cones.GammaK(n, n)
+
+    def descriptor(self):
+        return f"quadratic-over-linear:c={self.c!r}"
+
+    def value(self, lam):
+        return self.c * np.sum(lam * lam, axis=-1) / np.sum(lam, axis=-1)
+
+    def gradient(self, lam):
+        s = np.sum(lam, axis=-1, keepdims=True)
+        return self.c * (2.0 * lam / s - np.sum(lam * lam, axis=-1, keepdims=True) / s ** 2)
+
+
+def test_verify_axioms_reports_a_convex_function():
+    for c in (1.0, 1e200):
+        report = symfun.verify_axioms(ScaledQuadraticOverLinear(3, c), 500, seed=5)
+        assert report.violations["f3_concavity"] > 100, c
+        assert report.worst["f3_concavity"] < -1e-3, c
+
+
 def test_verify_axioms_requires_positive_samples():
     with pytest.raises(DomainError):
         symfun.verify_axioms(symfun.SigmaKRoot(n=3, k=1), 0, seed=1)
