@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhess import cones, symfun
+from confhess._poly import sigma
 from confhess.errors import DomainError, NumericError, UsageError
 
 
@@ -249,6 +250,51 @@ def test_boundary_shift_newton_cap_raises(monkeypatch):
     monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 1)
     with pytest.raises(NumericError):
         cones.boundary_shift(cones.GammaK(4, 3), [-1.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_gamma_k_laguerre_matches_bisection_to_rounding(data):
+    # 3 <= k <= n-1: where t* is a simple root of sigma_k(lam + t 1), so that
+    # sigma_(k-1) there is not small, the shift is exact to rounding; near
+    # multiple roots the 1e-10 property above still holds
+    n = data.draw(st.integers(4, 8))
+    k = data.draw(st.integers(3, n - 1))
+    lam = data.draw(rows(n))
+    cone = cones.GammaK(n, k)
+    eps = np.finfo(float).eps
+    scale = float(_oracle_scale(lam))
+    t = float(cones.boundary_shift(cone, lam))
+    if sigma(lam / scale + t / scale, k - 1) >= 1e-3:
+        want = float(bisection_shift(cone, lam, tol=eps)[0])
+        assert abs(t - want) <= 256.0 * eps * scale
+
+
+def test_boundary_shift_two_valued_rows_in_one_laguerre_step(monkeypatch):
+    # Laguerre's step is exact when all other roots coincide: one step, and
+    # one that confirms it
+    monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 2)
+    rng = np.random.default_rng(10)
+    for n in range(4, 9):
+        ab = rng.normal(size=(500, 2))
+        lam = np.hstack([ab[:, :1], np.repeat(ab[:, 1:], n - 1, axis=1)])
+        for k in range(3, n):
+            t = cones.boundary_shift(cones.GammaK(n, k), lam)
+            expected = np.maximum(-ab[:, 1], -(k * ab[:, 0] + (n - k) * ab[:, 1]) / n)
+            assert np.allclose(t, expected, rtol=0.0, atol=1e-13)
+
+
+def test_boundary_shift_cap_names_unconverged_rows(monkeypatch):
+    # the constant row stands still at t = -min lam_i, its boundary
+    monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 1)
+    lam = [[-1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], [0.5, -2.0, 1.0, 4.0]]
+    texts = set()
+    for _ in range(2):
+        with pytest.raises(NumericError) as err:
+            cones.boundary_shift(cones.GammaK(4, 3), lam)
+        texts.add(str(err.value))
+    assert texts == {"gamma:k=3: boundary iteration hit 1 steps with 2 of 3 rows unconverged, "
+                     "largest last step 0.224 of max |lam_i|"}
 
 
 def test_boundary_shift_rejects_non_finite_tuples():

@@ -73,3 +73,20 @@ def test_elementary_jet_quadratic_example():
     assert np.array_equal(c0, [1.0, 6.0, 11.0])
     assert np.array_equal(c1, [0.0, 0.0, 2.0])
     assert np.array_equal(c2, [0.0, 0.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(((), (5,), (3, 2))), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_reduce_columns_is_bitwise_numpys_reduction(lead, n, seed):
+    # entries drawn from a few values, so ties (of +0 and -0 too) are common
+    rng = np.random.default_rng(seed)
+    lam = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.5], size=lead + (n,))
+    lam[rng.random(lam.shape) < 0.5] *= rng.standard_normal()
+    pairs = [(np.minimum, np.min, lam), (np.maximum, np.max, lam),
+             (np.maximum, np.max, np.abs(lam))]
+    if n < 8:
+        pairs.append((np.add, np.sum, lam))
+    for ufunc, reduce, x in pairs:
+        got, want = _poly.reduce_columns(ufunc, x), reduce(x, axis=-1)
+        assert type(got) is type(want)
+        assert np.array_equal(bits(got), bits(want))
