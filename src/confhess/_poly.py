@@ -4,12 +4,18 @@ All routines accept arrays whose trailing axis indexes the eigenvalues and
 broadcast over every leading axis, so callers can evaluate thousands of
 sample tuples in a handful of vectorized passes.
 
-The product recurrences run coefficient-major: the coefficients live in
-contiguous planes of shape ``(k + 1, ...)``, each eigenvalue column is
-copied once into a contiguous array of the batch shape, and every update is
-one contiguous multiply-add over the whole batch.  Results are returned as
-trailing-axis views ``(..., k + 1)`` of those planes.
+The kernels run column-major: the coefficients live in contiguous planes of
+shape ``(k + 1, ...)``, each eigenvalue column is copied at most once into a
+contiguous array of the batch shape, and every update is one contiguous
+elementwise call over the whole batch.  Results are returned as
+trailing-axis views ``(..., k + 1)`` of those planes.  :func:`sort_rows`
+sorts by a comparator network on the columns, :func:`stable_ranks` gives the
+permutation back from pairwise column compares, and
+:func:`elementary_sweep` differentiates the product recurrence by one
+forward and one backward pass.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,13 +29,99 @@ def _check_degree(k, n):
 
 def reduce_columns(ufunc, lam):
     """``ufunc.reduce(lam, axis=-1)`` by elementwise calls on the columns ``lam[..., j]``,
-    several times faster on ``(N, n)`` batches of small n.  Bitwise ``np.min`` and
-    ``np.max`` (up to the sign of a zero result at n > 8), and ``np.sum`` at n < 8."""
+    several times faster on ``(N, n)`` batches of small n, and independent of the
+    memory layout of ``lam``.  Bitwise ``np.min`` and ``np.max`` (up to the sign of a
+    zero result at n > 8), and ``np.sum`` at n < 8."""
     lam = np.asarray(lam, dtype=float)
     out = ufunc.reduce(lam[..., :1], axis=-1, keepdims=True)[..., 0]
     for j in range(1, lam.shape[-1]):
         ufunc(out, lam[..., j], out=out)
     return out[()]
+
+
+@functools.cache
+def _sort_program(n):
+    """Batcher's odd-even merge network on n columns as register moves.
+
+    The network for the next power of two, less the comparators that reach past
+    column n - 1 (with +inf padding those never swap).  Each step
+    ``(i, j, src_i, src_j, lo, hi)`` reads columns i and j from buffer rows
+    ``src_i``, ``src_j`` (None: the input column), writes their minimum to row
+    ``lo`` and their maximum to row ``hi``; rows are numbered so that column j
+    ends in row j of an ``(n + 1)``-row buffer."""
+    p = 1 << max(n - 1, 0).bit_length()
+    net = []
+    size = 1
+    while size < p:
+        k = size
+        while k >= 1:
+            for j in range(k % size, p - k, 2 * k):
+                for i in range(min(k, p - j - k)):
+                    a, b = i + j, i + j + k
+                    if a // (2 * size) == b // (2 * size) and b < n:
+                        net.append((a, b))
+            k //= 2
+        size *= 2
+    # the minimum goes to a free row, the maximum stays in the row of column j
+    where, free, steps = [None] * n, list(range(n + 1)), []
+    for i, j in net:
+        lo = free.pop()
+        hi = where[j] if where[j] is not None else free.pop()
+        steps.append((i, j, where[i], where[j], lo, hi))
+        if where[i] is not None:
+            free.append(where[i])
+        where[i], where[j] = lo, hi
+    row = {slot: j for j, slot in enumerate(where)}
+    row[free[0]] = n
+    name = lambda s: None if s is None else row[s]
+    return tuple((i, j, name(si), name(sj), row[lo], row[hi])
+                 for i, j, si, sj, lo, hi in steps)
+
+
+def sort_rows(lam):
+    """Each row of the trailing axis in ascending order, bitwise ``np.sort``'s rows
+    (up to the order of -0.0 against +0.0), with contiguous columns ``[..., j]``.
+
+    One ``np.minimum`` and one ``np.maximum`` per comparator of :func:`_sort_program`,
+    on whole columns."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    rows = lam.reshape(-1, n)
+    buf = np.empty((n + 1, rows.shape[0]))
+    if n == 1:
+        buf[0] = rows[:, 0]
+    for i, j, si, sj, lo, hi in _sort_program(n):
+        a = rows[:, i] if si is None else buf[si]
+        b = rows[:, j] if sj is None else buf[sj]
+        # min and max pick the same argument of a tie (-0.0 against +0.0): with
+        # the arguments swapped in one of them, no zero changes its sign
+        np.minimum(a, b, out=buf[lo])
+        np.maximum(b, a, out=buf[hi])
+    return buf[:n].T.reshape(lam.shape)
+
+
+def stable_ranks(lam):
+    """Position of every entry in its row sorted by a stable sort: ``rank_i =
+    #{j < i: lam_j <= lam_i} + #{j > i: lam_j < lam_i}``, the inverse of the
+    stable ``argsort``, in the smallest unsigned integer type that holds n.  The value
+    ``sort_rows(lam)[..., rank_i]`` equals ``lam[..., i]``."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    rows = lam.reshape(-1, n)
+    cols = [np.ascontiguousarray(rows[:, j]) for j in range(n)]
+    rank = np.empty((n, rows.shape[0]), dtype=np.min_scalar_type(n))
+    for j in range(n):
+        rank[j] = j
+    below = np.empty(rows.shape[0], dtype=bool)
+    step = below.view(np.uint8)
+    # rank_i gains lam_j < lam_i for j > i, and rank_j loses the same compare
+    # from its starting count j (wrapping in between, exact once all pairs are in)
+    for i in range(n):
+        for j in range(i + 1, n):
+            np.less(cols[j], cols[i], out=below)
+            rank[i] += step
+            rank[j] -= step
+    return rank.T.reshape(lam.shape)
 
 
 def elementary_all(lam, k):
@@ -61,6 +153,56 @@ def elementary_all(lam, k):
     return np.moveaxis(coef, 0, -1)
 
 
+def elementary_sweep(lam, k, degrees):
+    """``e_0 .. e_k`` of the trailing axis and, for each ``m`` in ``degrees`` (``0 <= m
+    < k``), ``e_m(lam | i)``, the e_m of the tuple without entry i, for every i.
+
+    Reverse-mode differentiation of the product recurrence (``d e_(m+1) / d lam_i =
+    e_m(lam | i)``).  A backward pass stores the suffix planes ``e_b(lam_(i+1) ..
+    lam_(n-1))`` for ``b <= max(degrees)``; the forward pass of :func:`elementary_all`
+    then pairs its running prefix with them, ``e_m(lam | i) = sum_a prefix_i[a]
+    suffix_i[m - a]``, with no division and no deflation, in O(n k) per tuple.
+    An entry equal to its left neighbour gets that neighbour's result bitwise (the
+    two sums pair different prefixes and suffixes), so tied entries of sorted rows
+    share their bits.
+
+    Returns ``(e, excluded)``: ``e`` of shape ``(..., k + 1)``, bitwise
+    :func:`elementary_all`, and a list with one ``(..., n)`` array per degree.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    _check_degree(k, n)
+    rows = lam.reshape(-1, n)
+    cols = [np.ascontiguousarray(rows[:, j]) for j in range(n)]
+    top = max(degrees)
+    suffix = np.zeros((n, top + 1, rows.shape[0]))
+    suffix[:, 0] = 1.0
+    for i in range(n - 2, -1, -1):
+        t = min(n - 1 - i, top)
+        np.multiply(cols[i + 1], suffix[i + 1, :t], out=suffix[i, 1:t + 1])
+        suffix[i, 1:t + 1] += suffix[i + 1, 1:t + 1]
+    coef = np.zeros((k + 1, rows.shape[0]))
+    coef[0] = 1.0
+    out = np.empty((len(degrees), n, rows.shape[0]))
+    for i in range(n):
+        for d, m in enumerate(degrees):
+            # prefix_i has i entries and suffix_i n - 1 - i, so the other terms
+            # vanish; the planes of degree 0 hold 1, so their products are skipped
+            first, *rest = [coef[a] if a == m else suffix[i, m] if a == 0
+                            else coef[a] * suffix[i, m - a]
+                            for a in range(max(0, m - (n - 1 - i)), min(i, m) + 1)]
+            out[d, i] = first
+            for term in rest:
+                out[d, i] += term
+        t = min(i + 1, k)
+        coef[1:t + 1] += cols[i] * coef[0:t]
+    for i in range(1, n):
+        tie = cols[i] == cols[i - 1]
+        for plane in out:
+            np.copyto(plane[i], plane[i - 1], where=tie)
+    return coef.T.reshape(lam.shape[:-1] + (k + 1,)), [plane.T.reshape(lam.shape) for plane in out]
+
+
 def elementary_jet(lam, b, k):
     """Second-order Taylor jets of ``e_0 .. e_k`` along the direction ``b``.
 
@@ -86,51 +228,34 @@ def elementary_jet(lam, b, k):
     return tuple(np.moveaxis(c, 1, -1))
 
 
-def sigma(lam, k):
-    """k-th elementary symmetric polynomial of the trailing axis."""
-    return elementary_all(lam, k)[..., k]
+def complete_jets(x, k):
+    """Truncated Taylor jets of the complete homogeneous symmetric polynomials
+    ``h_0 .. h_k`` of the trailing axis.
 
-
-def elementary_excluding(lam, k):
-    """``e_0 .. e_k`` of the tuple with one entry removed, for every entry.
-
-    Returns shape ``(..., n, k + 1)`` where ``[..., i, j]`` is
-    ``e_j(lam with entry i removed)``.  Each reduced tuple is recomputed from
-    scratch (no deflation), which keeps the result stable for outlier
-    entries at an O(n^2 k) cost that is negligible for the small n used here.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.empty(lam.shape[:-1] + (n, k + 1))
-    for i in range(n):
-        idx = [j for j in range(n) if j != i]
-        out[..., i, :] = elementary_all(lam[..., idx], k)
-    return out
-
-
-def complete_homogeneous_all(x, k):
-    """Complete homogeneous symmetric polynomials ``h_0 .. h_k``.
-
-    Uses ``m h_m = sum_{j=1..m} p_j h_{m-j}`` with power sums ``p_j``; for
-    positive inputs every term is positive, so no cancellation occurs.
-    Returns shape ``(..., k + 1)``.
+    ``x`` has shape ``(J, ..., n)``: entry i is the jet ``x[0] + x[1] s + .. +
+    x[J - 1] s^(J - 1)`` (J = 1 for plain values).  Adds one variable at a time by
+    ``h_m <- h_m + x_i h_(m-1)``, m ascending, on contiguous planes ``(J, k + 1,
+    ...)`` with products truncated at ``s^J``, as :func:`elementary_jet` lays out
+    its jets.  For positive values every term is positive, so nothing cancels.
+    Returns shape ``(J, ..., k + 1)``; ``[q, ..., m]`` is the ``s^q`` coefficient
+    of ``h_m``.
     """
     x = np.asarray(x, dtype=float)
     if k < 0:
         raise DomainError(f"degree k={k} must be >= 0")
-    h = np.zeros(x.shape[:-1] + (k + 1,))
-    h[..., 0] = 1.0
-    if k == 0:
-        return h
-    p = np.empty(x.shape[:-1] + (k + 1,))
-    xj = np.ones_like(x)
-    for j in range(1, k + 1):
-        xj = xj * x
-        p[..., j] = np.sum(xj, axis=-1)
-    for m in range(1, k + 1):
-        acc = np.zeros(x.shape[:-1])
-        for j in range(1, m + 1):
-            acc = acc + p[..., j] * h[..., m - j]
-        h[..., m] = acc / m
-    return h
+    jets = x.shape[0]
+    h = np.zeros((jets, k + 1) + x.shape[1:-1])
+    h[0, 0] = 1.0
+    for i in range(x.shape[-1]):
+        xi = [np.ascontiguousarray(x[q, ..., i]) for q in range(jets)]
+        for m in range(1, k + 1):
+            # (x0 + x1 s + ..)(p0 + p1 s + ..): x_q times the planes of h_(m-1)
+            # added to the planes q.. of h_m, one jet order of x at a time
+            for q in range(jets):
+                h[q:, m] += xi[q] * h[:jets - q, m - 1]
+    return np.moveaxis(h, 1, -1)
 
+
+def sigma(lam, k):
+    """k-th elementary symmetric polynomial of the trailing axis."""
+    return elementary_all(lam, k)[..., k]

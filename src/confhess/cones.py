@@ -104,12 +104,14 @@ class GammaK:
             r = np.sqrt(_poly.reduce_columns(np.add, (lam - mean[..., None]) ** 2) / (n * (n - 1)))
             s2 = _poly.elementary_all(lam, 2)[..., 2]
             with np.errstate(divide="ignore", invalid="ignore"):    # rows taking r - mean
-                return np.where(mean > 0.0, -2.0 * s2 / (n * (n - 1) * (mean + r)), r - mean)
+                return np.where(mean > 0.0, -2.0 * s2 / (n * (n - 1) * (mean + r)), r - mean)[()]
         if k == 1:
             return -_poly.reduce_columns(np.add, lam) / n
         t = -_poly.reduce_columns(np.minimum, lam)
         if k == n:
             return t
+        lam = np.asarray(lam, dtype=float)
+        shape, lam, t = lam.shape[:-1], lam.reshape(-1, n), np.reshape(t, -1)
         tol = NEWTON_STEP_TOL * np.maximum(_poly.reduce_columns(np.maximum, lam), t)   # max |lam_i|
         # planes c[j] = C(n - j, k - j) sigma_j(lam + t 1): p(s) = sum_j c[j] s^(k - j)
         c = np.moveaxis(_poly.elementary_all(lam + t[:, None], k), -1, 0)
@@ -130,7 +132,8 @@ class GammaK:
                 e = _poly.elementary_all(lam + t[:, None], k)
                 # q < 0 where the rounded planes left t short of t*: right by <= tol
                 q, dq = e[:, k], (n - k + 1) * e[:, k - 1]
-                return t - np.maximum(np.divide(q, dq, out=np.zeros_like(t), where=dq > 0), -tol)
+                t -= np.maximum(np.divide(q, dq, out=np.zeros_like(t), where=dq > 0), -tol)
+                return t.reshape(shape)[()]
         late = step > tol
         rel = NEWTON_STEP_TOL * np.max(step[late] / tol[late])
         raise NumericError(f"{self.descriptor()}: boundary iteration hit {NEWTON_MAX_STEPS} steps "

@@ -17,8 +17,15 @@ strictly positive gradient, is concave, permutation symmetric, and positively
 homogeneous of degree ``alpha`` (degree 1 throughout this catalog).
 :func:`verify_axioms` spot-checks all of these on random cone samples.
 
-Evaluation sorts the tuple first, which makes permutation symmetry hold
-bitwise, and gradients are scattered back through the inverse permutation.
+Evaluation sorts the tuple first, by a comparator network on the columns
+(:func:`_poly.sort_rows`), and every row reduction runs over the columns
+(:func:`_poly.reduce_columns`), so values and gradients are bitwise
+permutation symmetric and independent of the memory layout of the input.
+Gradients are computed on the sorted rows and gathered back through the
+stable ranks of the entries (:func:`_poly.stable_ranks`).  The sigma_k
+families take every partial derivative from one prefix-suffix sweep of the
+product recurrence (:func:`_poly.elementary_sweep`), and ``InvMonomialSum``
+runs the complete homogeneous recurrence (:func:`_poly.complete_jets`).
 """
 
 from dataclasses import asdict, dataclass, field
@@ -71,25 +78,24 @@ def sigma_k(lam, k):
     n = lam.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"sigma_k requires 1 <= k <= n, got k={k}, n={n}")
-    return _poly.sigma(np.sort(lam, axis=-1), k)
+    return _poly.sigma(_poly.sort_rows(lam), k)
 
 
 def ricci_map(lam):
     """Ricci eigenvalues from Schouten eigenvalues: ``mu_i = lam_i + sum(lam)/(n-2)``."""
     lam = as_eigentuple(lam)
     n = lam.shape[-1]
-    return lam + (np.sum(lam, axis=-1, keepdims=True) / (n - 2))
+    return lam + (_poly.reduce_columns(np.add, lam) / (n - 2))[..., None]
 
 
 def _sort_with_order(lam):
-    order = np.argsort(lam, axis=-1, kind="stable")
-    return np.take_along_axis(lam, order, axis=-1), order
+    """The sorted rows and the stable ranks of the entries, for :func:`_scatter`."""
+    return _poly.sort_rows(lam), _poly.stable_ranks(lam)
 
 
-def _scatter(values_sorted, order):
-    out = np.empty_like(values_sorted)
-    np.put_along_axis(out, order, values_sorted, axis=-1)
-    return out
+def _scatter(values_sorted, rank):
+    """Per-entry values of the sorted rows moved back to the entries' positions."""
+    return np.take_along_axis(values_sorted, rank, axis=-1)
 
 
 class CurvatureOperator:
@@ -114,15 +120,14 @@ class CurvatureOperator:
 
     def value(self, lam):
         lam = as_eigentuple(lam, self.n)
-        ls = np.sort(lam, axis=-1, kind="stable")
         with np.errstate(**_QUIET):
-            return self._value_sorted(ls)
+            return self._value_sorted(_poly.sort_rows(lam))
 
     def gradient(self, lam):
         lam = as_eigentuple(lam, self.n)
-        ls, order = _sort_with_order(lam)
+        ls, rank = _sort_with_order(lam)
         with np.errstate(**_QUIET):
-            return _scatter(self._gradient_sorted(ls), order)
+            return _scatter(self._gradient_sorted(ls), rank)
 
     def gradient_flagged(self, lam):
         """Gradient plus a smoothness mask (False only at PucciMin ties)."""
@@ -142,7 +147,7 @@ class CurvatureOperator:
         analytic Hessian is coded, and the midpoint concavity defect at
         non-smooth points."""
         if h is None:
-            scale = np.maximum(np.max(np.abs(lam), axis=-1, keepdims=True), 1.0)
+            scale = np.maximum(_poly.reduce_columns(np.maximum, np.abs(lam)), 1.0)[..., None]
             h = 1.22e-4 * scale / np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-30)
         fp = self.value(lam + h * b)
         fm = self.value(lam - h * b)
@@ -205,8 +210,8 @@ class SigmaKRoot(CurvatureOperator):
         return _rescaled_gradient(self._raw_gradient, ls)
 
     def _raw_gradient(self, ls):
-        s = _poly.sigma(ls, self.k)
-        partial = _poly.elementary_excluding(ls, self.k - 1)[..., :, self.k - 1]
+        e, (partial,) = _poly.elementary_sweep(ls, self.k, (self.k - 1,))
+        s = e[..., self.k]
         pref = (1.0 / self.k) * np.power(s, 1.0 / self.k - 1.0)
         return pref[..., None] * partial, s[None]
 
@@ -249,12 +254,12 @@ class Quotient(CurvatureOperator):
 
     def _raw_gradient(self, ls):
         k, l = self.k, self.l
-        sk, sl = self._sigmas(ls)
+        e, partials = _poly.elementary_sweep(ls, k, (k - 1, l - 1) if l else (k - 1,))
+        sk, sl = e[..., k], e[..., l]
         f = np.power(sk / sl, 1.0 / (k - l))
-        ex = _poly.elementary_excluding(ls, k - 1)
-        dk = ex[..., :, k - 1]
-        dl = ex[..., :, l - 1] if l >= 1 else np.zeros_like(ls)
-        ratio = dk / sk[..., None] - dl / sl[..., None]
+        ratio = partials[0] / sk[..., None]
+        if l:
+            ratio = ratio - partials[1] / sl[..., None]
         return (f / (k - l))[..., None] * ratio, np.stack([sk, sl])
 
     def _quadform(self, lam, b):
@@ -297,11 +302,12 @@ class PucciMin(CurvatureOperator):
         d = self.delta
         if d <= 1.0:
             return -self.value(lam) / (self.n * d + self.k)
-        low = np.sum(np.sort(lam, axis=-1)[..., :self.k], axis=-1)
-        return -(np.sum(lam, axis=-1) + low / d) / (self.n + self.k / d)
+        low = _poly.reduce_columns(np.add, _poly.sort_rows(lam)[..., :self.k])
+        return -(_poly.reduce_columns(np.add, lam) + low / d) / (self.n + self.k / d)
 
     def _value_sorted(self, ls):
-        return self.delta * np.sum(ls, axis=-1) + np.sum(ls[..., :self.k], axis=-1)
+        return (self.delta * _poly.reduce_columns(np.add, ls)
+                + _poly.reduce_columns(np.add, ls[..., :self.k]))
 
     def _gradient_sorted(self, ls):
         g = np.full_like(ls, self.delta)
@@ -313,9 +319,9 @@ class PucciMin(CurvatureOperator):
         lam = as_eigentuple(lam, self.n)
         if self.k == self.n:
             return np.ones(lam.shape[:-1], dtype=bool)
-        ls = np.sort(lam, axis=-1)
+        ls = _poly.sort_rows(lam)
         gap = ls[..., self.k] - ls[..., self.k - 1]
-        return gap >= PUCCI_TIE_TOL * np.abs(self.value(lam))
+        return gap >= PUCCI_TIE_TOL * np.abs(self._value_sorted(ls))
 
     def gradient_flagged(self, lam):
         return self.gradient(lam), self.is_smooth_at(lam)
@@ -348,17 +354,16 @@ class InvPowerSum(CurvatureOperator):
         return "inv-power"
 
     def _value_sorted(self, ls):
-        s = np.sum(ls ** -2.0, axis=-1)
-        return s ** -0.5
+        return _poly.reduce_columns(np.add, ls ** -2.0) ** -0.5
 
     def _gradient_sorted(self, ls):
-        s = np.sum(ls ** -2.0, axis=-1)
+        s = _poly.reduce_columns(np.add, ls ** -2.0)
         return s[..., None] ** -1.5 * ls ** -3.0
 
     def _quadform(self, lam, b):
-        s = np.sum(lam ** -2.0, axis=-1)
-        c3 = np.sum(lam ** -3.0 * b, axis=-1)
-        c4 = np.sum(lam ** -4.0 * b ** 2, axis=-1)
+        s = _poly.reduce_columns(np.add, lam ** -2.0)
+        c3 = _poly.reduce_columns(np.add, lam ** -3.0 * b)
+        c4 = _poly.reduce_columns(np.add, lam ** -4.0 * b ** 2)
         return 3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4
 
 
@@ -387,36 +392,28 @@ class InvMonomialSum(CurvatureOperator):
         return f"inv-monomial:k={self.k}"
 
     def _value_sorted(self, ls):
-        h = _poly.complete_homogeneous_all(1.0 / ls, self.k)[..., self.k]
+        h = _poly.complete_jets((1.0 / ls)[None], self.k)[0, ..., self.k]
         return np.power(h, -1.0 / self.k)
 
     def _gradient_sorted(self, ls):
         k = self.k
         x = 1.0 / ls
-        hall = _poly.complete_homogeneous_all(x, k)
-        # dh/dx_i = sum_{m=0..k-1} x_i^m h_{k-1-m}
-        xp = np.ones_like(x)
-        hi = np.zeros_like(x)
-        for m in range(k):
-            hi = hi + xp * hall[..., k - 1 - m][..., None]
-            xp = xp * x
-        pref = (1.0 / k) * np.power(hall[..., k], -1.0 / k - 1.0)
-        return pref[..., None] * hi * x ** 2
+        h = _poly.complete_jets(x[None], k)[0]
+        # dh/dx_i = sum_{m=0..k-1} x_i^m h_{k-1-m}, by Horner on the columns
+        xc = np.moveaxis(x, -1, 0)
+        hi = np.ones_like(xc)
+        for m in range(1, k):
+            hi *= xc
+            hi += h[..., m]
+        pref = (1.0 / k) * np.power(h[..., k], -1.0 / k - 1.0)
+        return pref[..., None] * np.moveaxis(hi, 0, -1) * x ** 2
 
     def _quadform(self, lam, b):
-        # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3); h_m <- h_m + x_i h_(m-1)
-        # adds one variable to the complete homogeneous sums, here on jets.
+        # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3)
         k = self.k
         x = 1.0 / lam
-        xj = (x, -b * x ** 2, b ** 2 * x ** 3)
-        h = [(np.ones(x.shape[:-1]), 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * k
-        for i in range(self.n):
-            x0, x1, x2 = (c[..., i] for c in xj)
-            for m in range(1, k + 1):
-                p0, p1, p2 = h[m - 1]
-                q0, q1, q2 = h[m]
-                h[m] = (q0 + x0 * p0, q1 + x0 * p1 + x1 * p0, q2 + x0 * p2 + x1 * p1 + x2 * p0)
-        h0, h1, h2 = h[k]
+        h0, h1, h2 = _poly.complete_jets(np.stack(np.broadcast_arrays(
+            x, -b * x ** 2, b ** 2 * x ** 3)), k)[..., k]
         # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
         return ((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
                 - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
@@ -453,23 +450,25 @@ class Shifted(CurvatureOperator):
         return f"shifted:delta={float(self.delta)!r},inner={self.inner.descriptor()}"
 
     def _shift(self, lam):
-        return lam + self.delta * np.sum(lam, axis=-1, keepdims=True)
+        return lam + (self.delta * _poly.reduce_columns(np.add, lam))[..., None]
 
     def admissible(self, lam):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(**_QUIET):
-            return (np.sum(lam, axis=-1) > 0.0) & self.inner.admissible(self._shift(lam))
+            return ((_poly.reduce_columns(np.add, lam) > 0.0)
+                    & self.inner.admissible(self._shift(lam)))
 
     def diagonal_shift(self, lam):
         # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1; for delta > 1
         # divided through by delta (the inner t* is 1-homogeneous), so that
         # delta * sum and n * delta cannot overflow.
         d, inner = self.delta, self.inner.cone.diagonal_shift
+        total = _poly.reduce_columns(np.add, lam)
         if d <= 1.0:
             t = inner(self._shift(lam)) / (1.0 + self.n * d)
         else:
-            t = inner(lam / d + np.sum(lam, axis=-1, keepdims=True)) / (1.0 / d + self.n)
-        return np.maximum(-np.mean(lam, axis=-1), t)
+            t = inner(lam / d + total[..., None]) / (1.0 / d + self.n)
+        return np.maximum(-total / self.n, t)
 
     # Adding one scalar per row keeps a sorted row sorted (rounding is
     # monotone), so the inner operator runs on the shifted row as it is.
@@ -478,10 +477,10 @@ class Shifted(CurvatureOperator):
 
     def _gradient_sorted(self, ls):
         g1 = self.inner._gradient_sorted(self._shift(ls))
-        return g1 + self.delta * np.sum(g1, axis=-1, keepdims=True)
+        return g1 + (self.delta * _poly.reduce_columns(np.add, g1))[..., None]
 
     def _quadform(self, lam, b):
-        mb = b + self.delta * np.sum(b, axis=-1, keepdims=True)
+        mb = b + (self.delta * _poly.reduce_columns(np.add, b))[..., None]
         return self.inner.hessian_quadform(self._shift(lam), mb)
 
 

@@ -161,6 +161,23 @@ def test_boundary_shift_gamma1_example():
     assert t == pytest.approx(1.0, abs=1e-11)
 
 
+def test_gamma_diagonal_shift_takes_any_leading_shape():
+    # every k, the closed forms and the Laguerre iteration alike: a 1-D tuple
+    # gives a scalar, bitwise the value of the same row as a 2-D batch, and a
+    # batch keeps its leading shape
+    rng = np.random.default_rng(41)
+    for n in range(3, 7):
+        lam = rng.standard_normal((3, n))
+        for k in range(1, n + 1):
+            cone = cones.GammaK(n, k)
+            for row in lam:
+                got = cone.diagonal_shift(row)
+                assert np.ndim(got) == 0, (n, k)
+                assert got == cone.diagonal_shift(row[None])[0], (n, k)
+            batch = cone.diagonal_shift(lam.reshape(3, 1, n))
+            assert np.array_equal(batch, cone.diagonal_shift(lam)[:, None]), (n, k)
+
+
 def test_boundary_shift_bisection_against_dense_scan():
     # Oracle: scan membership along the diagonal on a fine grid and bracket
     # the transition; the bisection value must fall in the bracketing cell.

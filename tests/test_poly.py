@@ -1,10 +1,16 @@
-"""Symmetric-polynomial kernels: the coefficient-major recurrence and its jets."""
+"""Symmetric-polynomial kernels: the coefficient-major recurrence and its jets,
+the column sort and the prefix-suffix sweep."""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhess import _poly
+
+from oracles import complete_homogeneous_all, elementary_excluding
 
 EPS = np.finfo(float).eps
 
@@ -60,8 +66,8 @@ def test_elementary_jet_first_order_is_the_directional_derivative(batch, data):
     assert np.array_equal(bits(c0), bits(_poly.elementary_all(lam, k)))
     # d/dt e_k(lam + t b) = sum_i b_i e_(k-1)(lam without i); rounding is
     # bounded by a few n eps times the same sum taken in absolute values
-    want = np.sum(b * _poly.elementary_excluding(lam, k - 1)[..., k - 1], axis=-1)
-    scale = np.sum(np.abs(b) * _poly.elementary_excluding(np.abs(lam), k - 1)[..., k - 1],
+    want = np.sum(b * elementary_excluding(lam, k - 1)[..., k - 1], axis=-1)
+    scale = np.sum(np.abs(b) * elementary_excluding(np.abs(lam), k - 1)[..., k - 1],
                    axis=-1)
     assert np.all(np.abs(c1[..., k] - want) <= 4 * n * EPS * scale)
 
@@ -75,13 +81,17 @@ def test_elementary_jet_quadratic_example():
     assert np.array_equal(c2, [0.0, 0.0, -1.0])
 
 
+def tied_rows(rng, shape):
+    """Rows drawn from a few values, +0 and -0 among them, so ties are common."""
+    lam = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.5], size=shape)
+    lam[rng.random(shape) < 0.5] *= rng.standard_normal()
+    return lam
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(((), (5,), (3, 2))), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_reduce_columns_is_bitwise_numpys_reduction(lead, n, seed):
-    # entries drawn from a few values, so ties (of +0 and -0 too) are common
-    rng = np.random.default_rng(seed)
-    lam = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.5], size=lead + (n,))
-    lam[rng.random(lam.shape) < 0.5] *= rng.standard_normal()
+    lam = tied_rows(np.random.default_rng(seed), lead + (n,))
     pairs = [(np.minimum, np.min, lam), (np.maximum, np.max, lam),
              (np.maximum, np.max, np.abs(lam))]
     if n < 8:
@@ -90,3 +100,74 @@ def test_reduce_columns_is_bitwise_numpys_reduction(lead, n, seed):
         got, want = _poly.reduce_columns(ufunc, x), reduce(x, axis=-1)
         assert type(got) is type(want)
         assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_sort_rows_sorts_every_zero_one_row(n):
+    # 0-1 principle: a comparator network that sorts every 0/1 row sorts every row
+    lam = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    assert np.array_equal(bits(_poly.sort_rows(lam)), bits(np.sort(lam, axis=-1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(((), (5,), (3, 2))), st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_sort_rows_is_bitwise_numpys_sort(lead, n, seed, fortran):
+    lam = tied_rows(np.random.default_rng(seed), lead + (n,))
+    if fortran:
+        lam = np.asfortranarray(lam)
+    got, want = _poly.sort_rows(lam), np.sort(lam, axis=-1, kind="stable")
+    assert got.shape == want.shape
+    # bitwise, up to the order of -0.0 against +0.0 within a row (the default
+    # kind of np.sort may even turn -0.0 into +0.0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(bits(got)[want != 0.0], bits(want)[want != 0.0])
+    assert np.array_equal(np.sum(np.signbit(got), axis=-1), np.sum(np.signbit(want), axis=-1))
+    # contiguous columns
+    assert all(got[..., j].flags.c_contiguous for j in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(((), (5,), (3, 2))), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_stable_ranks_invert_the_stable_argsort(lead, n, seed):
+    lam = tied_rows(np.random.default_rng(seed), lead + (n,))
+    rank = _poly.stable_ranks(lam)
+    order = np.argsort(lam, axis=-1, kind="stable")
+    assert np.array_equal(np.take_along_axis(rank, order, axis=-1),
+                          np.broadcast_to(np.arange(n), lam.shape))
+    assert np.array_equal(np.take_along_axis(_poly.sort_rows(lam), rank, axis=-1), lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.data())
+def test_elementary_sweep_matches_the_exclusion_oracle(batch, data):
+    lam, _ = batch
+    n = lam.shape[-1]
+    k = data.draw(st.integers(1, n))
+    degrees = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        lam[..., n // 2:] = lam[..., :1]       # ties, some of them adjacent
+    e, excluded = _poly.elementary_sweep(lam, k, degrees)
+    assert np.array_equal(bits(e), bits(_poly.elementary_all(lam, k)))
+    want = elementary_excluding(lam, k - 1)
+    # rounding is bounded by a few n eps times the same sums in absolute values
+    scale = elementary_excluding(np.abs(lam), k - 1)
+    for m, got in zip(degrees, excluded):
+        assert got.shape == lam.shape
+        assert np.all(np.abs(got - want[..., m]) <= 2 * n * EPS * scale[..., m])
+        # an entry equal to its left neighbour shares its bits
+        tie = lam[..., 1:] == lam[..., :-1]
+        assert np.array_equal(bits(got[..., 1:])[tie], bits(got[..., :-1])[tie])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.integers(0, 6))
+def test_complete_jets_match_the_power_sum_oracle(batch, k):
+    lam, _ = batch
+    x = np.abs(lam)
+    n = x.shape[-1]
+    (h,) = _poly.complete_jets(x[None], k)
+    assert h.shape == x.shape[:-1] + (k + 1,)
+    # positive terms: both routes are accurate to a few eps relative
+    want = complete_homogeneous_all(x, k)
+    assert np.all(np.abs(h - want) <= 4 * (n + k) * EPS * want)

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from confhess import _poly, cones, symfun
 from confhess.errors import AdmissibilityError, DomainError
 
+from oracles import complete_homogeneous_all, elementary_excluding
+
+EPS = np.finfo(float).eps
+
 
 def sigma_oracle(lam, k):
     """Independent subset-sum enumeration of sigma_k."""
@@ -236,7 +240,7 @@ def elementary_excluding_pair(lam, k):
     ``(..., n, n, k + 1)``; the diagonal holds the single exclusions."""
     n = lam.shape[-1]
     out = np.empty(lam.shape[:-1] + (n, n, k + 1))
-    single = _poly.elementary_excluding(lam, k)
+    single = elementary_excluding(lam, k)
     for i in range(n):
         out[..., i, i, :] = single[..., i, :]
         for j in range(i + 1, n):
@@ -250,7 +254,7 @@ def _sigma_derivatives(lam, b, m):
     n = lam.shape[-1]
     if m == 0:
         return np.zeros(lam.shape[:-1]), np.zeros(lam.shape[:-1])
-    gb = np.sum(_poly.elementary_excluding(lam, m - 1)[..., :, m - 1] * b, axis=-1)
+    gb = np.sum(elementary_excluding(lam, m - 1)[..., :, m - 1] * b, axis=-1)
     if m == 1:
         return gb, np.zeros(lam.shape[:-1])
     pair = elementary_excluding_pair(lam, m - 2)[..., m - 2]
@@ -284,7 +288,7 @@ def quadform_oracle(spec, lam, b):
     if isinstance(spec, symfun.InvMonomialSum):
         k, n = spec.k, spec.n
         x = 1.0 / lam
-        hall = _poly.complete_homogeneous_all(x, k)
+        hall = complete_homogeneous_all(x, k)
         h = hall[..., k]
         xpows = [np.ones_like(x)]
         for _ in range(k):
@@ -390,6 +394,130 @@ def test_trace_shift_skips_the_inner_sort_bitwise(data):
     want_v, want_g = _shifted_by_resorting(spec, lam)
     assert np.array_equal(_bits(got_v), _bits(want_v)), spec.descriptor()
     assert np.array_equal(_bits(got_g), _bits(want_g)), spec.descriptor()
+
+
+def _innermost(spec):
+    return _innermost(spec.inner) if isinstance(spec, symfun.Shifted) else spec
+
+
+def gradient_oracle(spec, lam):
+    """``(grad f, scale)`` on the rows as given, from exclusions recomputed from
+    scratch.  ``scale`` takes the same sums in absolute values: it bounds the
+    rounding of this route and of the package's alike."""
+    if isinstance(spec, symfun.Shifted):
+        g1, s1 = gradient_oracle(spec.inner, spec._shift(lam))
+        return (g1 + spec.delta * np.sum(g1, axis=-1, keepdims=True),
+                s1 + spec.delta * np.sum(s1, axis=-1, keepdims=True))
+    if isinstance(spec, (symfun.SigmaKRoot, symfun.Quotient)):
+        k, l = spec.k, getattr(spec, "l", 0)
+        e = _poly.elementary_all(lam, k)
+        f = (e[..., k] / e[..., l]) ** (1.0 / (k - l)) / (k - l)
+
+        def dlog(m, x):     # d log sigma_m / d lam_i, the sum over x
+            if m == 0:
+                return 0.0
+            return elementary_excluding(x, m - 1)[..., m - 1] / e[..., m, None]
+
+        grad = f[..., None] * (dlog(k, lam) - dlog(l, lam))
+        return grad, np.abs(f[..., None]) * (np.abs(dlog(k, np.abs(lam)))
+                                             + np.abs(dlog(l, np.abs(lam))))
+    if isinstance(spec, symfun.InvMonomialSum):
+        k = spec.k
+        x = 1.0 / lam
+        hall = complete_homogeneous_all(x, k)
+        hi = sum(x ** m * hall[..., k - 1 - m, None] for m in range(k))
+        grad = (1.0 / k) * hall[..., k, None] ** (-1.0 / k - 1.0) * hi * x ** 2
+        return grad, grad
+    if isinstance(spec, symfun.InvPowerSum):
+        grad = np.sum(lam ** -2.0, axis=-1, keepdims=True) ** -1.5 * lam ** -3.0
+        return grad, grad
+    # PucciMin: the k entries first in a stable sort carry the 1
+    rank = np.argsort(np.argsort(lam, axis=-1, kind="stable"), axis=-1)
+    grad = spec.delta + (rank < spec.k)
+    return grad, grad
+
+
+def _unit_scaled(lam):
+    """Rows scaled by a power of two to 1 <= max |lam_i| < 2 (exact)."""
+    return np.ldexp(lam, 1 - np.frexp(np.max(np.abs(lam), axis=-1, keepdims=True))[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gradients_match_the_exclusion_oracle(data):
+    n = data.draw(st.integers(3, 8))
+    spec = data.draw(quadform_operators(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam = cones.sample_cone(spec.cone, 64, rng)
+    if isinstance(_innermost(spec), (symfun.SigmaKRoot, symfun.Quotient)):
+        # sigma_k leaves the float range: these rows are evaluated again, scaled
+        lam[::4] *= 1e200
+        lam[1::4] *= 1e-200
+    # in sorted order, where the trace shift sums the row; the gradient is
+    # 0-homogeneous, so the oracle runs on rows of unit scale
+    order = np.argsort(lam, axis=-1, kind="stable")
+    got = np.take_along_axis(spec.gradient(lam), order, axis=-1)
+    want, scale = gradient_oracle(spec, _unit_scaled(np.take_along_axis(lam, order, axis=-1)))
+    assert np.all(np.abs(got - want) <= 4 * n * EPS * scale), spec.descriptor()
+
+
+def _pucci_tied_at_k(spec, lam):
+    """Rows whose k-th and (k+1)-th smallest entries tie where PucciMin sees them:
+    there the lowest-index selection is not symmetric."""
+    inner = _innermost(spec)
+    if not isinstance(inner, symfun.PucciMin) or inner.k == inner.n:
+        return np.zeros(lam.shape[:-1], dtype=bool)
+    while isinstance(spec, symfun.Shifted):
+        lam, spec = spec._shift(lam), spec.inner
+    ls = np.sort(lam, axis=-1)
+    return ls[..., inner.k] == ls[..., inner.k - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tied_entries_get_bitwise_equal_gradients(data):
+    n = data.draw(st.integers(3, 8))
+    spec = data.draw(quadform_operators(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # radial rows (a, b, .., b), as the solver's nodes, and rows of a few values
+    lam = np.concatenate([np.repeat(rng.standard_normal((32, 2)), [1, n - 1], axis=1),
+                          rng.choice(rng.standard_normal(3), size=(32, n))])
+    t = cones.boundary_shift(spec.cone, lam)
+    lam = lam + (t + rng.uniform(1e-3, 1.0, len(lam)) * np.maximum(np.abs(t), 1.0))[:, None]
+    g = spec.gradient(lam)
+    keep = ~_pucci_tied_at_k(spec, lam)
+    tie = lam[:, :, None] == lam[:, None, :]
+    same = _bits(g)[:, :, None] == _bits(g)[:, None, :]
+    assert np.all(same[keep] | ~tie[keep]), spec.descriptor()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_values_and_gradients_are_bitwise_symmetric_in_any_layout(n):
+    # every catalog operator, C- and F-ordered inputs, random column
+    # permutations: values bitwise equal, gradients the bitwise permutation
+    rng = np.random.default_rng(100 + n)
+    for spec in catalog(n):
+        lam = cones.sample_cone(spec.cone, 2000, rng)
+        keep = ~_pucci_tied_at_k(spec, lam)
+        f, g = spec.value(lam), spec.gradient(lam)
+        for p in [np.arange(n)] + [rng.permutation(n) for _ in range(3)]:
+            for x in (np.ascontiguousarray(lam[:, p]), np.asfortranarray(lam[:, p])):
+                assert np.array_equal(_bits(spec.value(x)), _bits(f)), spec.descriptor()
+                assert np.array_equal(_bits(spec.gradient(x))[keep], _bits(g[:, p])[keep]), \
+                    spec.descriptor()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(((), (5,), (3, 2))), st.integers(3, 10), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_scatter_undoes_the_sort(lead, n, seed, fortran):
+    rng = np.random.default_rng(seed)
+    lam = rng.choice([0.0, 1.0, -1.0, 0.5, -2.5], size=lead + (n,))
+    lam[rng.random(lam.shape) < 0.5] *= rng.standard_normal()
+    lam += 0.0      # no -0.0: the sort may swap it with a tied +0.0
+    if fortran:
+        lam = np.asfortranarray(lam)
+    assert np.array_equal(_bits(symfun._scatter(*symfun._sort_with_order(lam))), _bits(lam))
 
 
 # ---------------------------------------------------------------------------
