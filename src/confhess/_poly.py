@@ -13,18 +13,53 @@ sorts by a comparator network on the columns, :func:`stable_ranks` gives the
 permutation back from pairwise column compares, and
 :func:`elementary_sweep` differentiates the product recurrence by one
 forward and one backward pass.
+
+The batched entry points of ``symfun`` and ``cones`` hand larger batches to
+these kernels in blocks of :data:`BLOCK_ROWS` to ``1.5 BLOCK_ROWS`` rows
+(:func:`_by_row_blocks`), so that the k + 1 to 3 (k + 1) planes of a kernel
+and its temporaries stay in a core's L2 cache instead of streaming through
+it once per column.  Every kernel computes each row from that row alone, so
+blocking changes no bit of any result.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import DomainError
 
+#: Least rows per block of :func:`_by_row_blocks`: 64 KiB per float64 plane.
+BLOCK_ROWS = 8192
+
 
 def _check_degree(k, n):
     if not 0 <= k <= n:
         raise DomainError(f"degree k={k} outside 0..n={n}")
+
+
+def _by_row_blocks(fn, *arrays):
+    """``fn(*arrays)`` on ``rows // BLOCK_ROWS`` consecutive blocks of rows of about
+    equal size, with the results written into one output of the arrays' leading
+    shape.  The arrays share their leading axes, which hold the rows; ``fn`` maps
+    ``(rows, n)`` blocks to results with ``rows`` leading.  A batch of fewer than
+    ``2 BLOCK_ROWS`` rows, a single tuple among them, goes to ``fn`` as it is: the
+    cost per row is flat from about 8192 to 16384 rows and rises below, so a
+    smaller block would cost more calls than it saves in cache misses."""
+    lead = arrays[0].shape[:-1]
+    rows = math.prod(lead)
+    blocks = rows // BLOCK_ROWS
+    if blocks <= 1:
+        return fn(*arrays)
+    flat = [a.reshape(rows, a.shape[-1]) for a in arrays]
+    size = -(-rows // blocks)
+    out = None
+    for start in range(0, rows, size):
+        part = fn(*(a[start:start + size] for a in flat))
+        if out is None:
+            out = np.empty((rows,) + part.shape[1:], dtype=part.dtype)
+        out[start:start + size] = part
+    return out.reshape(lead + out.shape[1:])
 
 
 def reduce_columns(ufunc, lam):

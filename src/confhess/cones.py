@@ -22,7 +22,7 @@ import numpy as np
 from . import _poly
 from .errors import DomainError, NumericError, parse_descriptor
 
-#: The Gamma_k boundary iteration stops once every step is below this fraction of max |lam_i|.
+#: A row of the Gamma_k boundary iteration stops once its step is below this fraction of max |lam_i|.
 NEWTON_STEP_TOL = 1e-13
 #: Cap on its Laguerre steps; Gaussian rows at n <= 8 take 4-5, two-valued rows 2.
 NEWTON_MAX_STEPS = 100
@@ -43,7 +43,7 @@ def _unit_rows(lam, j=1):
     if j == 1:
         e = np.frexp(_poly.reduce_columns(np.maximum, np.abs(lam)))[1] - 1
     else:
-        e = np.sum(np.frexp(np.sort(np.abs(lam), axis=-1)[..., -j:])[1], axis=-1) // j - 1
+        e = np.sum(np.frexp(_poly.sort_rows(np.abs(lam))[..., -j:])[1], axis=-1) // j - 1
     return np.ldexp(lam, -e[..., None]), e
 
 
@@ -93,9 +93,10 @@ class GammaK:
         (right of ``t*``) gives the Taylor coefficients ``C(n - j, k - j) sigma_j(lam + t0 1)
         >= 0`` of ``p(s) = q(t0 + s)``.  Laguerre's method on ``p`` falls from ``s = 0``
         monotonically and cubically to its largest root, in 4-5 steps on Gaussian rows (it
-        is exact where the other roots coincide, as on two-valued rows); one Newton step on
-        ``sigma_k`` of the shifted rows polishes ``t``.  At k = 2, ``q`` is quadratic:
-        ``t* = r - mean``, ``r^2 = sum (lam_i - mean)^2 / (n (n-1))``, or
+        is exact where the other roots coincide, as on two-valued rows).  Each row stops on
+        its own step, so its result does not depend on the other rows of the batch.  One
+        Newton step on ``sigma_k`` of the shifted rows polishes ``t``.  At k = 2, ``q`` is
+        quadratic: ``t* = r - mean``, ``r^2 = sum (lam_i - mean)^2 / (n (n-1))``, or
         ``-2 sigma_2 / (n (n-1) (mean + r))``, free of cancellation, if mean > 0."""
         n, k = self.n, self.k
         if k == 2:
@@ -116,7 +117,7 @@ class GammaK:
         # planes c[j] = C(n - j, k - j) sigma_j(lam + t 1): p(s) = sum_j c[j] s^(k - j)
         c = np.moveaxis(_poly.elementary_all(lam + t[:, None], k), -1, 0)
         c *= np.array([math.comb(n - j, k - j) for j in range(k + 1)])[:, None]
-        s = np.zeros_like(t)
+        s, active = np.zeros_like(t), np.ones(t.shape, dtype=bool)
         for _ in range(NEWTON_MAX_STEPS):
             p, dp, hp = c[0], 0.0, 0.0      # p, p', p''/2 at s, by Horner
             for j in range(1, k + 1):
@@ -124,9 +125,11 @@ class GammaK:
             # Laguerre's step k p / (p' + sqrt((k-1)^2 p'^2 - k (k-1) p p'')); p or
             # p' <= 0 is rounding at the root, and such rows stay put
             root = dp + np.sqrt(np.maximum((k - 1) ** 2 * dp * dp - 2 * k * (k - 1) * p * hp, 0))
-            step = np.divide(k * p, root, out=np.zeros_like(t), where=(p > 0.0) & (dp > 0.0))
+            step = np.divide(k * p, root, out=np.zeros_like(t),
+                             where=active & (p > 0.0) & (dp > 0.0))
             s -= step
-            if np.all(step <= tol):
+            active = step > tol
+            if not np.any(active):
                 del c, p, dp, hp, root      # the planes go before the second pass
                 t += s
                 e = _poly.elementary_all(lam + t[:, None], k)
@@ -134,10 +137,9 @@ class GammaK:
                 q, dq = e[:, k], (n - k + 1) * e[:, k - 1]
                 t -= np.maximum(np.divide(q, dq, out=np.zeros_like(t), where=dq > 0), -tol)
                 return t.reshape(shape)[()]
-        late = step > tol
-        rel = NEWTON_STEP_TOL * np.max(step[late] / tol[late])
+        rel = NEWTON_STEP_TOL * np.max(step[active] / tol[active])
         raise NumericError(f"{self.descriptor()}: boundary iteration hit {NEWTON_MAX_STEPS} steps "
-                           f"with {np.count_nonzero(late)} of {late.size} rows unconverged, "
+                           f"with {np.count_nonzero(active)} of {active.size} rows unconverged, "
                            f"largest last step {rel:.3g} of max |lam_i|")
 
     def violation(self, lam):
@@ -236,7 +238,7 @@ def cone_contains(cone, lam):
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != cone.n:
         raise DomainError(f"tuple length {lam.shape[-1]} != cone dimension {cone.n}")
-    return cone.contains(lam)
+    return _poly._by_row_blocks(cone.contains, lam)
 
 
 def cone_violation(cone, lam):
@@ -265,9 +267,13 @@ def boundary_shift(cone, lam):
     if not np.all(np.isfinite(lam)):
         raise DomainError("boundary_shift requires finite tuples")
     if isinstance(cone, SigmaDelta) or (isinstance(cone, GammaK) and cone.k == cone.n):
-        return cone.diagonal_shift(lam)
-    x, p = _unit_rows(lam.reshape(-1, cone.n))
-    return np.ldexp(cone.diagonal_shift(x), p).reshape(lam.shape[:-1])[()]
+        return _poly._by_row_blocks(cone.diagonal_shift, lam)
+
+    def scaled(rows):
+        x, p = _unit_rows(rows.reshape(-1, cone.n))
+        return np.ldexp(cone.diagonal_shift(x), p).reshape(rows.shape[:-1])[()]
+
+    return _poly._by_row_blocks(scaled, lam)
 
 
 def sample_cone(cone, size, rng=None, fraction_range=(1e-3, 1.0)):

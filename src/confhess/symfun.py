@@ -121,23 +121,26 @@ class CurvatureOperator:
     def value(self, lam):
         lam = as_eigentuple(lam, self.n)
         with np.errstate(**_QUIET):
-            return self._value_sorted(_poly.sort_rows(lam))
+            return _poly._by_row_blocks(lambda x: self._value_sorted(_poly.sort_rows(x)), lam)
 
     def gradient(self, lam):
         lam = as_eigentuple(lam, self.n)
-        ls, rank = _sort_with_order(lam)
-        with np.errstate(**_QUIET):
+
+        def block(x):
+            ls, rank = _sort_with_order(x)
             return _scatter(self._gradient_sorted(ls), rank)
+
+        with np.errstate(**_QUIET):
+            return _poly._by_row_blocks(block, lam)
 
     def gradient_flagged(self, lam):
         """Gradient plus a smoothness mask (False only at PucciMin ties)."""
         return self.gradient(lam), np.ones(np.asarray(lam).shape[:-1], dtype=bool)
 
     def hessian_quadform(self, lam, b):
-        lam = as_eigentuple(lam, self.n)
-        b = np.asarray(b, dtype=float)
+        lam, b = np.broadcast_arrays(as_eigentuple(lam, self.n), np.asarray(b, dtype=float))
         with np.errstate(**_QUIET):
-            return self._quadform(lam, b)
+            return _poly._by_row_blocks(self._quadform, lam, b)
 
     def admissible(self, lam):
         return cones.cone_contains(self.cone, lam)
@@ -155,17 +158,27 @@ class CurvatureOperator:
         return (fp - 2.0 * f0 + fm) / np.squeeze(h, axis=-1) ** 2
 
 
-def _rescaled_gradient(fn, ls):
-    """``fn(ls) -> (gradient, sigmas)``, evaluated again on the rows where one
-    of the sigmas is non-finite or 0, after scaling those rows by a power of
-    two to ``1 <= max |lam_i| < 2``.  The gradient is 0-homogeneous, so the
-    scaling only moves the sigmas back into the float range; the other rows
-    keep their bits."""
-    grad, sigmas = fn(ls)
-    redo = ~np.all(np.isfinite(sigmas) & (sigmas != 0.0), axis=0)
+def _rescaled(fn, degree, lam, *rest):
+    """``fn(lam, *rest) -> (out, checks)``, evaluated again on the rows where one of
+    the checks (stacked on axis 0) is non-finite or 0, after scaling those rows of
+    ``lam`` by a power of two ``2^-p`` to ``1 <= max |lam_i| < 2``.  ``out`` is
+    homogeneous of degree ``degree`` in ``lam`` and goes back by ``2^(degree p)``:
+    the scaling only moves the intermediates back into the float range.  The
+    other rows keep their bits."""
+    n = lam.shape[-1]
+    rows = [a.reshape(-1, n) for a in (lam,) + rest]
+    out, checks = fn(*rows)
+    redo = ~np.all(np.isfinite(checks) & (checks != 0.0), axis=0)
     if np.any(redo):
-        grad[redo] = fn(cones._unit_rows(ls[redo])[0])[0]
-    return grad
+        x, p = cones._unit_rows(rows[0][redo])
+        again = fn(x, *(a[redo] for a in rows[1:]))[0]
+        out[redo] = np.ldexp(again, degree * p.reshape((-1,) + (1,) * (again.ndim - 1)))
+    return out.reshape(lam.shape[:-1] + out.shape[1:])[()]
+
+
+def _checked(out):
+    """``(out, checks)`` for :func:`_rescaled` that check ``out`` itself."""
+    return out, out.reshape(len(out), -1).T
 
 
 def _quotient_quadform(lam, b, k, l):
@@ -207,7 +220,7 @@ class SigmaKRoot(CurvatureOperator):
     def _gradient_sorted(self, ls):
         if self.k == 1:
             return np.ones_like(ls)
-        return _rescaled_gradient(self._raw_gradient, ls)
+        return _rescaled(self._raw_gradient, 0, ls)
 
     def _raw_gradient(self, ls):
         e, (partial,) = _poly.elementary_sweep(ls, self.k, (self.k - 1,))
@@ -250,7 +263,7 @@ class Quotient(CurvatureOperator):
         return np.power(sk / sl, 1.0 / (self.k - self.l))
 
     def _gradient_sorted(self, ls):
-        return _rescaled_gradient(self._raw_gradient, ls)
+        return _rescaled(self._raw_gradient, 0, ls)
 
     def _raw_gradient(self, ls):
         k, l = self.k, self.l
@@ -356,15 +369,25 @@ class InvPowerSum(CurvatureOperator):
     def _value_sorted(self, ls):
         return _poly.reduce_columns(np.add, ls ** -2.0) ** -0.5
 
+    # lam^-2 .. lam^-4 leave the float range far from unit scale, so rows with a
+    # non-finite or 0 result are evaluated again on rows scaled by a power of two
     def _gradient_sorted(self, ls):
+        return _rescaled(self._raw_gradient, 0, ls)
+
+    @staticmethod
+    def _raw_gradient(ls):
         s = _poly.reduce_columns(np.add, ls ** -2.0)
-        return s[..., None] ** -1.5 * ls ** -3.0
+        return _checked(s[..., None] ** -1.5 * ls ** -3.0)
 
     def _quadform(self, lam, b):
+        return _rescaled(self._raw_quadform, -1, lam, b)
+
+    @staticmethod
+    def _raw_quadform(lam, b):
         s = _poly.reduce_columns(np.add, lam ** -2.0)
         c3 = _poly.reduce_columns(np.add, lam ** -3.0 * b)
         c4 = _poly.reduce_columns(np.add, lam ** -4.0 * b ** 2)
-        return 3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4
+        return _checked(3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4)
 
 
 @dataclass(frozen=True)
@@ -395,7 +418,12 @@ class InvMonomialSum(CurvatureOperator):
         h = _poly.complete_jets((1.0 / ls)[None], self.k)[0, ..., self.k]
         return np.power(h, -1.0 / self.k)
 
+    # h_k(1/lam) leaves the float range far from unit scale, so rows with a
+    # non-finite or 0 result are evaluated again on rows scaled by a power of two
     def _gradient_sorted(self, ls):
+        return _rescaled(self._raw_gradient, 0, ls)
+
+    def _raw_gradient(self, ls):
         k = self.k
         x = 1.0 / ls
         h = _poly.complete_jets(x[None], k)[0]
@@ -406,17 +434,20 @@ class InvMonomialSum(CurvatureOperator):
             hi *= xc
             hi += h[..., m]
         pref = (1.0 / k) * np.power(h[..., k], -1.0 / k - 1.0)
-        return pref[..., None] * np.moveaxis(hi, 0, -1) * x ** 2
+        return _checked(pref[..., None] * np.moveaxis(hi, 0, -1) * x ** 2)
 
     def _quadform(self, lam, b):
+        return _rescaled(self._raw_quadform, -1, lam, b)
+
+    def _raw_quadform(self, lam, b):
         # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3)
         k = self.k
         x = 1.0 / lam
         h0, h1, h2 = _poly.complete_jets(np.stack(np.broadcast_arrays(
             x, -b * x ** 2, b ** 2 * x ** 3)), k)[..., k]
         # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
-        return ((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
-                - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
+        return _checked((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
+                        - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Each recomputes its result by a route independent of the kernels under
 test: ``elementary_excluding`` runs the product recurrence from scratch on
 every tuple with one entry removed, and ``complete_homogeneous_all`` goes
-through power sums.
+through power sums.  ``unblocked`` evaluates a batched entry point on the
+whole batch at once, the reference for its evaluation in row blocks.
 """
 
 import numpy as np
+import pytest
 
 from confhess import _poly
 
@@ -50,3 +52,10 @@ def complete_homogeneous_all(x, k):
             acc = acc + p[..., j] * h[..., m - j]
         h[..., m] = acc / m
     return h
+
+
+def unblocked(fn, *args):
+    """``fn(*args)`` with every batch handed to the kernels in one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_poly, "BLOCK_ROWS", 10 ** 9)
+        return fn(*args)

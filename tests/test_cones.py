@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confhess import cones, symfun
+from confhess import _poly, cones, symfun
 from confhess._poly import sigma
 from confhess.errors import DomainError, NumericError, UsageError
+
+from oracles import unblocked
 
 
 def _oracle_scale(lam):
@@ -312,6 +314,50 @@ def test_boundary_shift_cap_names_unconverged_rows(monkeypatch):
         texts.add(str(err.value))
     assert texts == {"gamma:k=3: boundary iteration hit 1 steps with 2 of 3 rows unconverged, "
                      "largest last step 0.224 of max |lam_i|"}
+
+
+def test_boundary_shift_cap_surfaces_from_the_last_block(monkeypatch):
+    # constant rows stand still at their boundary, so only the last row of the
+    # last block is unconverged; the message counts the rows of that block
+    monkeypatch.setattr(cones, "NEWTON_MAX_STEPS", 1)
+    rows = 2 * _poly.BLOCK_ROWS + 17
+    lam = np.ones((rows, 4))
+    lam[-1] = [-1.0, 1.0, 2.0, 3.0]
+    blocks = rows // _poly.BLOCK_ROWS
+    last = rows - (blocks - 1) * -(-rows // blocks)
+    with pytest.raises(NumericError) as err:
+        cones.boundary_shift(cones.GammaK(4, 3), lam)
+    assert str(err.value) == ("gamma:k=3: boundary iteration hit 1 steps with "
+                              f"1 of {last} rows unconverged, largest last step 0.224 of max |lam_i|")
+
+
+def test_boundary_shift_of_a_row_does_not_depend_on_its_batch():
+    # each row of the Laguerre iteration stops on its own step
+    rng = np.random.default_rng(0)
+    for n in range(4, 7):
+        for k in range(3, n):
+            cone = cones.GammaK(n, k)
+            lam = rng.standard_normal((20000, n))
+            t = cones.boundary_shift(cone, lam)
+            single = [cones.boundary_shift(cone, row) for row in lam[:1000]]
+            assert np.array_equal(np.array(single).view(np.int64), t[:1000].view(np.int64)), (n, k)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_row_blocks_change_no_bit_of_shift_or_membership(n):
+    rng = np.random.default_rng(400 + n)
+    rows = 2 * _poly.BLOCK_ROWS + 17
+    lam = rng.standard_normal((rows, n)) + rng.uniform(-0.5, 1.5, (rows, 1))
+    every = ([cones.GammaK(n, k) for k in range(1, n + 1)]
+             + [cones.SigmaDelta(n, 0.0), cones.SigmaDelta(n, 0.25), cones.SigmaDelta(n, 4.0),
+                cones.Positivity(symfun.PucciMin(n=n, k=2, delta=0.5)),
+                cones.Positivity(symfun.RicciComposite(n=n, inner=symfun.SigmaKRoot(n=n, k=2)))])
+    for cone in every:
+        for x in (lam, np.asfortranarray(lam), lam[1:].reshape(2, -1, n)):
+            for fn in (cones.boundary_shift, cones.cone_contains):
+                got, want = fn(cone, x), unblocked(fn, cone, x)
+                assert got.shape == want.shape == x.shape[:-1], (cone, fn)
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (cone, fn)
 
 
 def test_boundary_shift_rejects_non_finite_tuples():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from confhess import _poly, cones, symfun
 from confhess.errors import AdmissibilityError, DomainError
 
-from oracles import complete_homogeneous_all, elementary_excluding
+from oracles import complete_homogeneous_all, elementary_excluding, unblocked
 
 EPS = np.finfo(float).eps
 
@@ -505,6 +505,48 @@ def test_values_and_gradients_are_bitwise_symmetric_in_any_layout(n):
                 assert np.array_equal(_bits(spec.value(x)), _bits(f)), spec.descriptor()
                 assert np.array_equal(_bits(spec.gradient(x))[keep], _bits(g[:, p])[keep]), \
                     spec.descriptor()
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_row_blocks_change_no_bit(n):
+    # batches of 2 BLOCK_ROWS rows or more go to the kernels in blocks; each
+    # row's result must not depend on which rows share its block
+    rng = np.random.default_rng(300 + n)
+    rows = 2 * _poly.BLOCK_ROWS + 17
+    b = rng.standard_normal((rows, n))
+    for spec in catalog(n):
+        lam = cones.sample_cone(spec.cone, rows, rng)
+        for x, d in ((lam, b), (np.asfortranarray(lam), np.asfortranarray(b)),
+                     (lam[1:].reshape(2, -1, n), b[1:].reshape(2, -1, n)), (lam, b[0])):
+            for method, args in (("value", (x,)), ("gradient", (x,)),
+                                 ("hessian_quadform", (x, d)), ("admissible", (x,))):
+                got = getattr(spec, method)(*args)
+                want = unblocked(getattr(spec, method), *args)
+                assert got.shape == want.shape == x.shape[:got.ndim], (spec.descriptor(), method)
+                assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                      np.ascontiguousarray(want).view(np.uint8)), \
+                    (spec.descriptor(), method)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("inv-power", "inv-monomial:k=1", "inv-monomial:k=3", "inv-monomial:k=5")),
+       st.integers(3, 8), st.integers(0, 2 ** 32 - 1), st.sampled_from((600, -600)))
+def test_inverse_families_far_from_unit_scale(text, n, seed, p):
+    # lam^-2 .. lam^-4 and h_k(1/lam) leave the float range at 2^+-600: those
+    # rows are evaluated again on rows of unit scale.  The rows drawn here span
+    # 2^-2 .. 2^2, where the unscaled evaluation is itself accurate to rounding
+    # (the rounded exponent -1/k of the k-th root costs about |log h_k| eps).
+    spec = symfun.parse_operator(text, n)
+    rng = np.random.default_rng(seed)
+    lam = np.ldexp(rng.uniform(1.0, 2.0, (16, n)), rng.integers(-2, 2, (16, n)))
+    b = rng.standard_normal((16, n))
+    x = np.ldexp(lam, p)
+    g = symfun.grad_op(spec, lam)
+    assert np.all(np.abs(symfun.grad_op(spec, x) - g) <= 4 * EPS * g)
+    # the quadform has degree -1; its terms are of the size f |b / lam|^2
+    q = symfun.concavity_quadform(spec, lam, b)
+    scale = spec.value(lam) * np.sum((b / lam) ** 2, axis=-1)
+    assert np.all(np.abs(np.ldexp(symfun.concavity_quadform(spec, x, b), p) - q) <= 64 * EPS * scale)
 
 
 @settings(max_examples=200, deadline=None)
