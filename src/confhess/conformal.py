@@ -25,7 +25,9 @@ measured in g itself; ``conf_hess`` is the conformally invariant Hessian
 In the U gauge the same eigenvalues come from the independent formula
 ``u D2 u - (|Du|^2 / 2) I`` (flat background), which the tests use as a
 second route.  Profile jets broadcast over leading axes of the chart
-points, as operators and cones do over eigenvalue tuples.
+points, as operators and cones do over eigenvalue tuples.  Each transform
+writes its chain rule once; on radial profiles it composes their 1-D jet,
+whose Schouten eigenvalues take the closed form of :func:`radial_jet_eigs`.
 
 ``scipy.interpolate`` is imported on the first call of
 :func:`grid_radial_profile`, not with the module.
@@ -119,6 +121,7 @@ class Profile:
 
     gauge = "v"
     background = None
+    label = ""
 
     @property
     def n(self):
@@ -160,7 +163,8 @@ class RadialProfile(Profile):
     ``fun``, ``d1``, ``d2`` are vectorized closures for the 1-D profile and
     its first two radial derivatives.  When the domain starts at 0 the
     profile is assumed even (``d1(0) = 0``), which is what smoothness of the
-    full n-dimensional profile at the center requires.
+    full n-dimensional profile at the center requires.  The transforms of
+    this module compose the 1-D jet ``s -> (f, f', f'')`` (:meth:`radial_jet`).
     """
 
     def __init__(self, fun, d1, d2, n, gauge="v", background=None, center=None,
@@ -170,6 +174,7 @@ class RadialProfile(Profile):
         self.background = _default_background(n, background)
         self.gauge = gauge
         self.fun, self.d1, self.d2 = fun, d1, d2
+        self._jet1 = lambda s: (fun(s), d1(s), d2(s))
         self.center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
         if self.center.shape != (n,):
             raise DomainError("center must be a point of dimension n")
@@ -191,20 +196,12 @@ class RadialProfile(Profile):
             raise DomainError(f"radius outside profile domain [{lo:g}, {hi:g}]")
         return s
 
-    def _derived(self, fun, d1, d2, **changes):
-        """A radial profile with new closures, otherwise like this one."""
-        kw = dict(gauge=self.gauge, background=self.background, center=self.center,
-                  domain=self.domain, excludes_origin=self.excludes_origin, label=self.label)
-        return RadialProfile(fun, d1, d2, self.n, **{**kw, **changes})
-
     def radial_value(self, s):
         return self.fun(self._check_radius(s))
 
-    def radial_d1(self, s):
-        return self.d1(self._check_radius(s))
-
-    def radial_d2(self, s):
-        return self.d2(self._check_radius(s))
+    def radial_jet(self, s):
+        """``(f, f', f'')`` at radii ``s``."""
+        return tuple(np.asarray(t) for t in self._jet1(self._check_radius(s)))
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -212,8 +209,8 @@ class RadialProfile(Profile):
 
     def jet(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        s = self._check_radius(_norm(d))
-        val, v1, v2 = (np.asarray(f(s)) for f in (self.fun, self.d1, self.d2))
+        s = _norm(d)
+        val, v1, v2 = self.radial_jet(s)
         unit = d / np.where(s == 0.0, 1.0, s)[..., None]
         proj = _outer(unit, unit)
         tang = tangential_hessian(s, v1, v2)
@@ -279,6 +276,40 @@ class _JetProfile(Profile):
         return self._jet_fn(np.asarray(x, dtype=float))
 
 
+def _transform(p, jet_map, radial, gauge, background, **changes):
+    """The profile whose jet at chart points ``x`` is ``jet_map(jet, x)``, where
+    ``jet(q, y)`` is the jet of a profile ``q`` at points ``y``: one chain rule
+    for any chart dimension m.  If ``radial``, ``p`` and each ``q`` are radial
+    about one center, ``jet_map`` runs on radii as 1-D points ``(..., 1)``, and
+    the result is a :class:`RadialProfile` like ``p`` (with ``changes``) that
+    stores the composed 1-D jet; otherwise it is an n-D :class:`_JetProfile`.
+    The value of ``jet_map`` depends on the values of the ``q`` only, so the
+    radial ``fun`` runs it on their values alone, with zero derivatives."""
+    if not radial:
+        return _JetProfile(lambda x: jet_map(lambda q, y: q.jet(y), x), p.n, gauge, background)
+
+    def lifted(q, y):
+        f, f1, f2 = q.radial_jet(y[..., 0])
+        return f, f1[..., None], f2[..., None, None]
+
+    def value_only(q, y):
+        f = np.asarray(q.radial_value(y[..., 0]))
+        return f, np.zeros(f.shape + (1,)), np.zeros(f.shape + (1, 1))
+
+    def jet1(s):
+        f, g, h = jet_map(lifted, np.asarray(s, dtype=float)[..., None])
+        return f, g[..., 0], h[..., 0, 0]
+
+    def fun(s):
+        return jet_map(value_only, np.asarray(s, dtype=float)[..., None])[0]
+
+    kw = {k: getattr(p, k) for k in ("center", "domain", "excludes_origin", "label")}
+    out = RadialProfile(fun, lambda s: jet1(s)[1], lambda s: jet1(s)[2], p.n,
+                        gauge=gauge, background=background, **{**kw, **changes})
+    out._jet1 = jet1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gauge conversion
 # ---------------------------------------------------------------------------
@@ -327,34 +358,26 @@ def gauge_convert(profile, target):
         return profile
     G, G1, G2 = _gauge_map(profile.gauge, target, profile.n)
 
-    if isinstance(profile, RadialProfile):
-        fun, d1, d2 = profile.fun, profile.d1, profile.d2
-        return profile._derived(lambda s: G(fun(s)), lambda s: G1(fun(s)) * d1(s),
-                                lambda s: G2(fun(s)) * d1(s) ** 2 + G1(fun(s)) * d2(s),
-                                gauge=target)
-
-    def jet_fn(x):
-        val, grad, hess = profile.jet(x)
+    def jet_map(jet, x):
+        val, grad, hess = jet(profile, x)
         g1, g2 = G1(val)[..., None], G2(val)[..., None, None]
         return G(val), g1 * grad, g2 * _outer(grad, grad) + g1[..., None] * hess
 
-    return _JetProfile(jet_fn, profile.n, target, profile.background)
+    return _transform(profile, jet_map, isinstance(profile, RadialProfile), target,
+                      profile.background)
 
 
 def scale_profile(profile, t):
     """Multiply a profile by a positive constant (in its own gauge)."""
     if t <= 0:
         raise DomainError(f"scale factor must be positive, got {t}")
-    if isinstance(profile, RadialProfile):
-        fun, d1, d2 = profile.fun, profile.d1, profile.d2
-        return profile._derived(lambda s: t * fun(s), lambda s: t * d1(s),
-                                lambda s: t * d2(s))
 
-    def jet_fn(x):
-        val, grad, hess = profile.jet(x)
+    def jet_map(jet, x):
+        val, grad, hess = jet(profile, x)
         return t * val, t * grad, t * hess
 
-    return _JetProfile(jet_fn, profile.n, profile.gauge, profile.background)
+    return _transform(profile, jet_map, isinstance(profile, RadialProfile), profile.gauge,
+                      profile.background)
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +552,16 @@ def flat_equivalent(p):
     if pv.background.kind == "flat":
         return pv
     psi = pv.background.conformal_factor_profile()
-    flat = FlatBackground(pv.n)
-    if isinstance(pv, RadialProfile) and pv.centered_at_origin:
-        f1, d11, d21 = pv.fun, pv.d1, pv.d2
-        f2, d12, d22 = psi.fun, psi.d1, psi.d2
-        return pv._derived(
-            lambda s: f1(s) * f2(s),
-            lambda s: d11(s) * f2(s) + f1(s) * d12(s),
-            lambda s: d21(s) * f2(s) + 2.0 * d11(s) * d12(s) + f1(s) * d22(s),
-            background=flat)
 
-    def jet_fn(x):
-        v1, g1, h1 = pv.jet(x)
-        v2, g2, h2 = psi.jet(x)
+    def jet_map(jet, x):
+        v1, g1, h1 = jet(pv, x)
+        v2, g2, h2 = jet(psi, x)
         return (v1 * v2, g1 * v2[..., None] + v1[..., None] * g2,
                 h1 * v2[..., None, None] + _outer(g1, g2) + _outer(g2, g1)
                 + v1[..., None, None] * h2)
 
-    return _JetProfile(jet_fn, pv.n, "v", flat)
+    return _transform(pv, jet_map, isinstance(pv, RadialProfile) and pv.centered_at_origin,
+                      "v", FlatBackground(pv.n))
 
 
 def schouten_matrix(p, x):
@@ -572,8 +587,14 @@ def schouten_matrix(p, x):
 
 
 def schouten_eigs(p, x):
-    """Schouten eigenvalues of the metric of ``p`` at ``x`` (sorted ascending)."""
-    return schouten_matrix(p, x).eigenvalues
+    """Schouten eigenvalues of the metric of ``p`` at ``x`` (sorted ascending): the
+    closed form :func:`radial_jet_eigs` at ``|x - c|`` when :func:`flat_equivalent`
+    of ``p`` is radial about ``c``, else the eigenvalues of :func:`schouten_matrix`."""
+    pv = flat_equivalent(p)
+    if not isinstance(pv, RadialProfile):
+        return schouten_matrix(p, x).eigenvalues
+    lam_rad, lam_tan = radial_schouten_eigs(pv, _norm(np.asarray(x, dtype=float) - pv.center))
+    return np.sort(np.stack([lam_rad] + [lam_tan] * (pv.n - 1), axis=-1), axis=-1)
 
 
 def tangential_hessian(r, d1, d2):
@@ -609,10 +630,10 @@ def radial_schouten_eigs(p, r):
         raise DomainError("radial_schouten_eigs requires a radial profile "
                           "(centered at 0 over the sphere)")
     r = np.asarray(r, dtype=float)
-    val = pv.radial_value(r)
+    val, v1, v2 = pv.radial_jet(r)
     if np.any(val <= 0.0):
         raise PositivityError("profile must be positive on the requested radii")
-    return radial_jet_eigs(pv.n, r, val, pv.radial_d1(r), pv.radial_d2(r))
+    return radial_jet_eigs(pv.n, r, val, v1, v2)
 
 
 # ---------------------------------------------------------------------------
@@ -630,25 +651,15 @@ def kelvin(p):
     pv = gauge_convert(p, "v")
     if pv.background.kind != "flat":
         raise DomainError("the Kelvin transform is defined over flat space")
-    n = pv.n
-    a = 2.0 - n
+    a = 2.0 - pv.n
 
-    if isinstance(pv, RadialProfile) and pv.centered_at_origin:
-        fun, d1, d2 = pv.fun, pv.d1, pv.d2
-        return pv._derived(
-            lambda s: s ** a * fun(1.0 / s),
-            lambda s: a * s ** (a - 1) * fun(1.0 / s) - s ** (a - 2) * d1(1.0 / s),
-            lambda s: (a * (a - 1) * s ** (a - 2) * fun(1.0 / s)
-                       - (2 * a - 2) * s ** (a - 3) * d1(1.0 / s) + s ** (a - 4) * d2(1.0 / s)),
-            domain=(0.0, np.inf), excludes_origin=True, label=f"kelvin({pv.label})")
-
-    def jet_fn(x):
+    def jet_map(jet, x):
         r2 = _dot(x, x)
         if np.any(r2 == 0.0):
             raise DomainError("Kelvin transform is undefined at the origin")
         r, q2 = np.sqrt(r2), r2[..., None, None]
-        val, grad, hess = pv.jet(x / r2[..., None])
-        eye, xx = np.eye(n), _outer(x, x)
+        val, grad, hess = jet(pv, x / r2[..., None])
+        eye, xx = np.eye(x.shape[-1]), _outer(x, x)
         s = r ** a
         ds = (a * r ** (a - 2.0))[..., None] * x
         d2s = a * ((r ** (a - 2.0))[..., None, None] * eye
@@ -663,4 +674,6 @@ def kelvin(p):
                  + s[..., None, None] * phess)
         return s * val, val[..., None] * ds + s[..., None] * jg, khess
 
-    return _JetProfile(jet_fn, n, "v", pv.background)
+    return _transform(pv, jet_map, isinstance(pv, RadialProfile) and pv.centered_at_origin,
+                      "v", pv.background, domain=(0.0, np.inf), excludes_origin=True,
+                      label=f"kelvin({pv.label})")

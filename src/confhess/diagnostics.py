@@ -148,7 +148,8 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     if isinstance(pv, conformal.RadialProfile) and pv.centered_at_origin and points is None:
         lo = radius / num_samples if pv.excludes_origin else max(pv.domain[0], 0.0)
         s = np.linspace(lo, min(radius, pv.domain[1]), num_samples)
-        z = cutoff(s, radius) * np.abs(pv.radial_d1(s)) / pv.radial_value(s)
+        val, d1, _ = pv.radial_jet(s)
+        z = cutoff(s, radius) * np.abs(d1) / val
         i = int(np.argmax(z))
         return EstimateMonitor("gradient", radius, float(z[i]), float(s[i]),
                                "radial", num_samples)
@@ -170,7 +171,7 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     if isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin and points is None:
         lo = radius / num_samples if pu.excludes_origin else max(pu.domain[0], 0.0)
         s = np.linspace(lo, min(radius, pu.domain[1]), num_samples)
-        d1, d2 = pu.radial_d1(s), pu.radial_d2(s)
+        _, d1, d2 = pu.radial_jet(s)
         tang = np.abs(conformal.tangential_hessian(s, d1, d2))
         rad = np.abs(d2)
         z = cutoff(s, radius) ** 2 * np.maximum(rad, tang)

@@ -160,15 +160,19 @@ class CurvatureOperator:
 
 def _rescaled(fn, degree, lam, *rest):
     """``fn(lam, *rest) -> (out, checks)``, evaluated again on the rows where one of
-    the checks (stacked on axis 0) is non-finite or 0, after scaling those rows of
-    ``lam`` by a power of two ``2^-p`` to ``1 <= max |lam_i| < 2``.  ``out`` is
-    homogeneous of degree ``degree`` in ``lam`` and goes back by ``2^(degree p)``:
-    the scaling only moves the intermediates back into the float range.  The
-    other rows keep their bits."""
+    the checks (a tuple of arrays with the rows on axis 0) is non-finite, 0 or
+    subnormal, after scaling those rows of ``lam`` by a power of two ``2^-p`` to
+    ``1 <= max |lam_i| < 2``.  ``out`` is homogeneous of degree ``degree`` in ``lam``
+    and goes back by ``2^(degree p)``: the scaling only moves the intermediates
+    back into the float range.  The other rows keep their bits."""
     n = lam.shape[-1]
     rows = [a.reshape(-1, n) for a in (lam,) + rest]
     out, checks = fn(*rows)
-    redo = ~np.all(np.isfinite(checks) & (checks != 0.0), axis=0)
+    tiny = np.finfo(float).tiny
+    redo = np.zeros(len(rows[0]), dtype=bool)
+    for c in checks:
+        ok = np.isfinite(c) & ((c >= tiny) | (c <= -tiny))
+        redo |= ~np.all(ok, axis=tuple(range(1, c.ndim)))
     if np.any(redo):
         x, p = cones._unit_rows(rows[0][redo])
         again = fn(x, *(a[redo] for a in rows[1:]))[0]
@@ -178,7 +182,7 @@ def _rescaled(fn, degree, lam, *rest):
 
 def _checked(out):
     """``(out, checks)`` for :func:`_rescaled` that check ``out`` itself."""
-    return out, out.reshape(len(out), -1).T
+    return out, (out,)
 
 
 def _quotient_quadform(lam, b, k, l):
@@ -226,7 +230,7 @@ class SigmaKRoot(CurvatureOperator):
         e, (partial,) = _poly.elementary_sweep(ls, self.k, (self.k - 1,))
         s = e[..., self.k]
         pref = (1.0 / self.k) * np.power(s, 1.0 / self.k - 1.0)
-        return pref[..., None] * partial, s[None]
+        return pref[..., None] * partial, (s,)
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, 0)
@@ -273,7 +277,7 @@ class Quotient(CurvatureOperator):
         ratio = partials[0] / sk[..., None]
         if l:
             ratio = ratio - partials[1] / sl[..., None]
-        return (f / (k - l))[..., None] * ratio, np.stack([sk, sl])
+        return (f / (k - l))[..., None] * ratio, (sk, sl)
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, self.l)
@@ -332,9 +336,14 @@ class PucciMin(CurvatureOperator):
         lam = as_eigentuple(lam, self.n)
         if self.k == self.n:
             return np.ones(lam.shape[:-1], dtype=bool)
-        ls = _poly.sort_rows(lam)
-        gap = ls[..., self.k] - ls[..., self.k - 1]
-        return gap >= PUCCI_TIE_TOL * np.abs(self._value_sorted(ls))
+        with np.errstate(**_QUIET):
+            return _rescaled(self._tie_margin, 1, _poly.sort_rows(lam)) >= 0.0
+
+    # gap - tol |f| is of degree 1 and its sign is exact, so rows where f leaves
+    # the float range are compared again on rows scaled by a power of two
+    def _tie_margin(self, ls):
+        f = self._value_sorted(ls)
+        return ls[..., self.k] - ls[..., self.k - 1] - PUCCI_TIE_TOL * np.abs(f), (f,)
 
     def gradient_flagged(self, lam):
         return self.gradient(lam), self.is_smooth_at(lam)
@@ -370,7 +379,7 @@ class InvPowerSum(CurvatureOperator):
         return _poly.reduce_columns(np.add, ls ** -2.0) ** -0.5
 
     # lam^-2 .. lam^-4 leave the float range far from unit scale, so rows with a
-    # non-finite or 0 result are evaluated again on rows scaled by a power of two
+    # non-finite, 0 or subnormal result are evaluated again on rows scaled by 2^-p
     def _gradient_sorted(self, ls):
         return _rescaled(self._raw_gradient, 0, ls)
 
@@ -418,8 +427,8 @@ class InvMonomialSum(CurvatureOperator):
         h = _poly.complete_jets((1.0 / ls)[None], self.k)[0, ..., self.k]
         return np.power(h, -1.0 / self.k)
 
-    # h_k(1/lam) leaves the float range far from unit scale, so rows with a
-    # non-finite or 0 result are evaluated again on rows scaled by a power of two
+    # h_k(1/lam) leaves the float range far from unit scale, so rows with a non-finite,
+    # 0 or subnormal result or prefactor are evaluated again on rows scaled by 2^-p
     def _gradient_sorted(self, ls):
         return _rescaled(self._raw_gradient, 0, ls)
 
@@ -434,7 +443,8 @@ class InvMonomialSum(CurvatureOperator):
             hi *= xc
             hi += h[..., m]
         pref = (1.0 / k) * np.power(h[..., k], -1.0 / k - 1.0)
-        return _checked(pref[..., None] * np.moveaxis(hi, 0, -1) * x ** 2)
+        out = pref[..., None] * np.moveaxis(hi, 0, -1) * x ** 2
+        return out, (out, pref)
 
     def _quadform(self, lam, b):
         return _rescaled(self._raw_quadform, -1, lam, b)

@@ -275,8 +275,9 @@ def test_radial_constant_and_inversion_vanish():
 def test_radial_bubble_example():
     p = cf.bubble_profile(4)
     assert p.radial_value(1.0) == pytest.approx(0.5)
-    assert p.radial_d1(1.0) == pytest.approx(-0.5)
-    assert p.radial_d2(1.0) == pytest.approx(0.5)
+    _, d1, d2 = p.radial_jet(1.0)
+    assert d1 == pytest.approx(-0.5)
+    assert d2 == pytest.approx(0.5)
     lr, lt = cf.radial_schouten_eigs(p, 1.0)
     assert lr == pytest.approx(2.0, rel=1e-12)
     assert lt == pytest.approx(2.0, rel=1e-12)
@@ -347,7 +348,7 @@ def test_grid_profile_even_extension_at_origin():
     n = 4
     r = np.linspace(0.0, 2.0, 200)
     p = cf.grid_radial_profile(r, cf.bubble_profile(n).radial_value(r), n)
-    assert abs(p.radial_d1(0.0)) < 1e-12
+    assert abs(p.radial_jet(0.0)[1]) < 1e-12
     lr, lt = cf.radial_schouten_eigs(p, 0.0)
     assert lr == pytest.approx(2.0, abs=1e-3)
 
@@ -423,3 +424,120 @@ def test_radial_value_evaluates_the_profile_only():
     p = cf.RadialProfile(b.fun, boom, boom, n, center=b.center)
     x = np.random.default_rng(0).uniform(-1, 1, (8, n))
     assert np.array_equal(p.value(x), b.jet(x)[0])
+
+
+# ---------------------------------------------------------------------------
+# one 1-D jet per radial profile, and the closed-form radial eigenvalues
+# ---------------------------------------------------------------------------
+
+def counted_radial(n, calls, background=None):
+    """A centred bubble whose closures count their calls."""
+    b = cf.bubble_profile(n, scale=0.7)
+
+    def counted(name, fn):
+        def f(s):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(s)
+        return f
+
+    return cf.RadialProfile(counted("fun", b.fun), counted("d1", b.d1), counted("d2", b.d2),
+                            n, background=background)
+
+
+@pytest.mark.parametrize("kind", ["u", "w", "scaled", "kelvin", "sphere", "u of kelvin"])
+def test_one_base_evaluation_per_jet(kind):
+    n = 4
+    transform = {
+        "u": lambda p: cf.gauge_convert(p, "u"),
+        "w": lambda p: cf.gauge_convert(p, "w"),
+        "scaled": lambda p: cf.scale_profile(p, 2.5),
+        "kelvin": cf.kelvin,
+        "sphere": cf.flat_equivalent,
+        "u of kelvin": lambda p: cf.gauge_convert(cf.kelvin(p), "u"),
+    }[kind]
+    calls = {}
+    q = transform(counted_radial(n, calls, cf.SphereBackground(n) if kind == "sphere" else None))
+    assert isinstance(q, cf.RadialProfile)
+    calls.clear()
+    q.jet(np.array([[0.3, 0.2, -0.1, 0.5], [0.6, -0.4, 0.2, 0.1]]))
+    assert calls == {"fun": 1, "d1": 1, "d2": 1}
+    calls.clear()
+    q.radial_jet(np.array([0.5, 1.5]))
+    assert calls == {"fun": 1, "d1": 1, "d2": 1}
+    # the value alone evaluates the base's values alone, to the jet's bits
+    s = np.array([0.5, 1.5])
+    calls.clear()
+    val = q.radial_value(s)
+    assert calls == {"fun": 1}
+    assert np.array_equal(val, q.radial_jet(s)[0])
+
+
+class EigvalshReached(Exception):
+    pass
+
+
+def refuse_eigvalsh(mat):
+    raise EigvalshReached
+
+
+def lifted_bubble(n, scale, **kw):
+    """A bubble plus 0.2: a radial profile whose eigenvalues vary with the radius."""
+    b = cf.bubble_profile(n, scale=scale)
+    return cf.RadialProfile(lambda s: b.fun(s) + 0.2, b.d1, b.d2, n, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_radial_kernel_agrees_with_the_matrix_route(data):
+    n = data.draw(st.integers(3, 7), label="n")
+    kind = data.draw(st.sampled_from(["bubble", "inversion", "constant", "kelvin", "grid"]),
+                     label="kind")
+    sphere = kind != "kelvin" and data.draw(st.booleans(), label="sphere")
+    bg = cf.SphereBackground(n, data.draw(st.floats(0.5, 2.0), label="radius")) if sphere else None
+    t = data.draw(st.floats(0.5, 2.0), label="parameter")
+    if kind == "bubble":
+        centered = sphere or data.draw(st.booleans(), label="centered")
+        c = None if centered else np.array(data.draw(
+            st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n), label="center"))
+        p = cf.bubble_profile(n, scale=t, center=c, background=bg)
+    elif kind == "inversion":
+        p = cf.inversion_profile(n, coefficient=t, background=bg)
+    elif kind == "constant":
+        p = cf.constant_profile(n, t, background=bg)
+    elif kind == "kelvin":
+        p = cf.kelvin(lifted_bubble(n, t))
+    else:
+        r = np.linspace(0.0, 3.0, 64)
+        p = cf.grid_radial_profile(r, lifted_bubble(n, t).radial_value(r), n, background=bg)
+    p = cf.gauge_convert(p, data.draw(st.sampled_from(cf.GAUGES), label="gauge"))
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="dir"))
+    if not np.linalg.norm(u) > 1e-3:
+        u = np.ones(n)
+    s = data.draw(st.floats(0.1, 2.9), label="s")
+    x = p.center + s * u / np.linalg.norm(u)
+    want = cf.schouten_matrix(p, x).eigenvalues
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "_eigvalsh", refuse_eigvalsh)
+        got = cf.schouten_eigs(p, x)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_off_centre_kelvin_stays_on_the_matrix_path(monkeypatch):
+    n = 4
+    k = cf.kelvin(cf.bubble_profile(n, center=np.full(n, 0.2)))
+    x = np.array([0.8, -0.3, 0.5, 0.9])
+    want = cf.schouten_eigs(cf.bubble_profile(n, center=np.full(n, 0.2)), x / float(x @ x))
+    assert np.max(np.abs(cf.schouten_eigs(k, x) - want)) < 1e-9
+    monkeypatch.setattr(cf, "_eigvalsh", refuse_eigvalsh)
+    with pytest.raises(EigvalshReached):
+        cf.schouten_eigs(k, x)
+
+
+def test_radial_kelvin_checks_the_base_domain():
+    # the base is evaluated at 1/s, so a base on [0.2, 2] allows s in [0.5, 5] only
+    r = np.linspace(0.2, 2.0, 50)
+    k = cf.kelvin(cf.grid_radial_profile(r, cf.bubble_profile(4).radial_value(r), 4))
+    assert k.radial_value(1.0) == pytest.approx(0.5, rel=1e-6)
+    with pytest.raises(DomainError):
+        k.radial_value(0.1)

@@ -699,3 +699,39 @@ def test_shifted_general_composition():
     lam = cones.sample_cone(ricci.cone, 50, rng)
     assert np.allclose(shifted.value(lam), ricci.value(lam), rtol=1e-13)
     assert np.allclose(shifted.gradient(lam), ricci.gradient(lam), rtol=1e-12)
+
+
+@pytest.mark.parametrize("text", ["sigma-root:k=3", "quotient:k=3,l=1", "inv-monomial:k=3",
+                                  "inv-power"])
+def test_gradients_keep_their_bits_where_intermediates_are_subnormal(text):
+    # the gradient has degree 0, so every row of lam = 2^p (1, 1.5, 1.75, 1.25) has the
+    # gradient of the row p = 0; rows whose sigma_k or prefactor h_k^(-1/k-1) is
+    # subnormal are evaluated again at unit scale
+    spec = symfun.parse_operator(text, 4)
+    p = np.arange(-1000, 1001)
+    g = spec.gradient(np.ldexp(np.array([1.0, 1.5, 1.75, 1.25]), p[:, None]))
+    assert np.all(np.abs(g - g[1000]) <= 1e-12 * np.abs(g[1000]))
+
+
+def test_pucci_smoothness_where_the_value_overflows():
+    # f = delta sum(lam) + (k smallest) overflows at (0, 1e308, 1e308), where the
+    # subsets are far from tied, and at 2^1023 (1.5, 1.5, 1.75), where they are
+    # tied; the tie test is scale-free, and raises no floating-point warning
+    spec = symfun.parse_operator("pucci:k=1,delta=0.25", 3)
+    with np.errstate(all="raise"):
+        assert spec.is_smooth_at([0.0, 1e308, 1e308])
+        grad, smooth = symfun.grad_op(spec, [0.0, 1e308, 1e308], return_smooth=True)
+        tied = spec.is_smooth_at(np.ldexp([[0.0, 1.0, 1.0], [1.5, 1.5, 1.75]], 1023))
+    assert smooth and np.array_equal(grad, [1.25, 0.25, 0.25])
+    assert np.array_equal(tied, [True, False])
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_empty_batches(n):
+    # a batch of no tuples gives empty results of the batch's shape
+    lam = np.empty((0, n))
+    for spec in catalog(n):
+        assert spec.value(lam).shape == (0,)
+        assert spec.gradient(lam).shape == (0, n)
+        assert spec.hessian_quadform(lam, lam).shape == (0,)
+        assert spec.admissible(lam).shape == (0,)
