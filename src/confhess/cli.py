@@ -1,9 +1,7 @@
 """Command-line front end.
 
-Every library operation is exposed as a subcommand:
-
-    eval | grad | axioms | cone | inclusion | schouten | kelvin |
-    solve | continue-p | converge | monitor | bishop-gromov | harnack
+Every library operation is exposed as a subcommand, declared by one row of
+``_COMMANDS``: its name, help, handler and argument groups.
 
 Outputs are deterministic: the sampling seed defaults to the documented
 constant ``DEFAULT_SEED`` (overridden by the ``CHL_SEED`` environment
@@ -67,7 +65,7 @@ def _csv_lines(header, rows):
 
 
 def _write(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -75,10 +73,9 @@ def _write(args, text):
 
 
 def _emit(args, payload, text_lines=None, csv_data=None):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         _write(args, _json_dumps(payload))
-    elif fmt == "csv":
+    elif args.format == "csv":
         if csv_data is None:
             raise UsageError("this subcommand has no CSV form")
         _write(args, _csv_lines(*csv_data))
@@ -95,7 +92,7 @@ def _parse_floats(text, what="list"):
 
 
 def _seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("CHL_SEED")
     if env is not None:
@@ -107,7 +104,7 @@ def _seed(args):
 
 
 def _background(args, n):
-    return parse_descriptor(getattr(args, "background", "flat") or "flat", "background", {
+    return parse_descriptor(args.background, "background", {
         "flat": ((), lambda f: conformal.FlatBackground(n)),
         "sphere": (("a",), lambda f: conformal.SphereBackground(
             n, radius=float(f.get("a", 1.0)))),
@@ -116,24 +113,29 @@ def _background(args, n):
 
 def _profile(args, n):
     background = _background(args, n)
-    gauge = getattr(args, "gauge", "v") or "v"
-    if getattr(args, "profile_file", None):
-        return conformal.load_radial_profile(args.profile_file, n, gauge=gauge,
+    if args.profile_file:
+        return conformal.load_radial_profile(args.profile_file, n, gauge=args.gauge,
                                              background=background)
-    if not getattr(args, "profile", None):
+    if not args.profile:
         raise UsageError("one of --profile or --profile-file is required")
-    return conformal.parse_profile(args.profile, n, gauge=gauge, background=background)
+    return conformal.parse_profile(args.profile, n, gauge=args.gauge, background=background)
+
+
+#: The config field that each solver flag overrides, by the flag's dest.
+_OVERRIDES = {"grid": "grid", "p": "exponent_p", "rhs": "rhs"}
 
 
 def _solver_config(args):
-    cfg = radial_solver.SolverConfig.from_json(args.config)
-    if getattr(args, "grid", None):
-        cfg = dataclasses.replace(cfg, grid=args.grid)
-    if getattr(args, "p", None) is not None:
-        cfg = dataclasses.replace(cfg, exponent_p=args.p)
-    if getattr(args, "rhs", None) is not None:
-        cfg = dataclasses.replace(cfg, rhs=args.rhs)
-    return cfg
+    given = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+             if getattr(args, flag) is not None}
+    return dataclasses.replace(radial_solver.SolverConfig.from_json(args.config), **given)
+
+
+def _point(args):
+    x = _parse_floats(args.x, "--x")
+    if x.size != args.n or not np.all(np.isfinite(x)):
+        raise UsageError(f"--x must be {args.n} finite numbers, got '{args.x}'")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ def _cmd_inclusion(args):
 
 def _cmd_schouten(args):
     prof = _profile(args, args.n)
-    x = _parse_floats(args.x, "--x")
+    x = _point(args)
     eigs = conformal.schouten_eigs(prof, x)
     _emit(args, {"n": args.n, "gauge": prof.gauge, "x": [float(t) for t in x],
                  "eigenvalues": [float(t) for t in eigs]},
@@ -207,7 +209,7 @@ def _cmd_schouten(args):
 def _cmd_kelvin(args):
     prof = _profile(args, args.n)
     transform = conformal.kelvin(prof)
-    x = _parse_floats(args.x, "--x")
+    x = _point(args)
     val = float(transform.value(x))
     eigs = conformal.schouten_eigs(transform, x)
     src = conformal.schouten_eigs(prof, x / float(x @ x))
@@ -226,7 +228,7 @@ def _cmd_solve(args):
              f"status: {result.message}",
              f"residual max-norm: {_fmt(result.residual_norm)}",
              f"worst admissibility margin: {_fmt(float(np.min(-result.margins)))}"]
-    if getattr(args, "profile_out", None):
+    if args.profile_out:
         result.save_profile(args.profile_out)
         lines.append(f"profile written to {args.profile_out}")
     _emit(args, payload, text_lines=lines,
@@ -284,7 +286,7 @@ def _cmd_harnack(args):
     beta = diagnostics.harnack_beta(args.delta, args.n)
     payload = {"delta": args.delta, "n": args.n, "beta": beta}
     lines = [f"beta = {_fmt(beta)}"]
-    if getattr(args, "samples_file", None):
+    if args.samples_file:
         data = np.loadtxt(args.samples_file)
         if data.ndim != 2 or data.shape[1] < 2:
             raise UsageError("samples file must have point columns plus a value column")
@@ -310,13 +312,58 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, *, seed=False, out=True):
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    if out:
-        sub.add_argument("--out", help="write output to this path instead of stdout")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None,
-                         help=f"sampling seed (default CHL_SEED or {DEFAULT_SEED})")
+#: Argument groups, as (flag, add_argument keywords) pairs.
+_N = ("--n", {"type": int, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+_OPERATOR = (("--op", {"required": True}), _N)
+_POINT = (("--x", {"required": True}),)
+_PROFILE = (("--profile", {"help": "catalog descriptor, e.g. bubble:scale=1"}),
+            ("--profile-file", {"help": "two-column (r, v) text file"}),
+            ("--gauge", {"choices": conformal.GAUGES, "default": "v"}),
+            ("--background", {"default": "flat", "help": "flat or sphere:a=R"}), _N)
+_SOLVER = (("--config", {"required": True, "help": "SolverConfig JSON document"}),
+           ("--grid", {"type": int, "help": "override the grid size"}),
+           ("--p", {"type": float, "help": "override the exponent p"}),
+           ("--rhs", {"type": float, "help": "override the constant rhs"}))
+_OUTPUT = (("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+           ("--out", {"help": "write output to this path instead of stdout"}))
+_SAMPLED = _OUTPUT + (("--seed", {"type": int, "default": None,
+                                  "help": f"sampling seed (default CHL_SEED or {DEFAULT_SEED})"}),)
+
+#: One row per subcommand: name, help, handler and its arguments in help order.
+_COMMANDS = (
+    ("eval", "evaluate an operator at an eigenvalue tuple", _cmd_eval,
+     (*_OPERATOR, _LAMBDA, *_OUTPUT)),
+    ("grad", "analytic gradient of an operator", _cmd_grad, (*_OPERATOR, _LAMBDA, *_OUTPUT)),
+    ("axioms", "sampled verification of the operator axioms", _cmd_axioms,
+     (*_OPERATOR, ("--samples", {"type": int, "default": 10000}), *_SAMPLED)),
+    ("cone", "cone membership and boundary shift", _cmd_cone,
+     (("--cone", {"required": True}), _N, _LAMBDA, *_OUTPUT)),
+    ("inclusion", "sampled Garding-cone inclusion test", _cmd_inclusion,
+     (("--k", {"type": int, "required": True}), _N,
+      ("--samples", {"type": int, "default": 100000}), *_SAMPLED)),
+    ("schouten", "Schouten eigenvalues of a profile at a point", _cmd_schouten,
+     (*_PROFILE, *_POINT, *_OUTPUT)),
+    ("kelvin", "Kelvin transform evaluation and eigenvalues", _cmd_kelvin,
+     (*_PROFILE, *_POINT, *_OUTPUT)),
+    ("solve", "damped Newton solve of the radial BVP", _cmd_solve,
+     (*_SOLVER, ("--profile-out", {"help": "write the solved (r, v) profile here"}), *_OUTPUT)),
+    ("continue-p", "warm-started sweep over the exponent p", _cmd_continue_p,
+     (*_SOLVER, ("--p-schedule", {"required": True, "help": "comma-separated exponents"}),
+      *_OUTPUT)),
+    ("converge", "grid-refinement study against an exact profile", _cmd_converge,
+     (*_SOLVER, ("--refinements", {"type": int, "default": 3}),
+      ("--exact", {"required": True, "help": "exact-solution profile descriptor"}), *_OUTPUT)),
+    ("monitor", "gradient or Hessian estimate monitor", _cmd_monitor,
+     (*_PROFILE, ("--kind", {"choices": ("grad", "hess"), "default": "grad"}),
+      ("--radius", {"type": float, "required": True}),
+      ("--samples", {"type": int, "default": diagnostics.RADIAL_SCAN}), *_OUTPUT)),
+    ("bishop-gromov", "geodesic/Euclidean ball volume ratios", _cmd_bishop_gromov,
+     (*_PROFILE, ("--radii", {"required": True, "help": "comma-separated radii"}), *_OUTPUT)),
+    ("harnack", "Harnack exponent and sampled Holder seminorm", _cmd_harnack,
+     (("--delta", {"type": float, "required": True}), _N,
+      ("--samples-file", {"help": "text table: point columns plus value column"}), *_OUTPUT)),
+)
 
 
 def build_parser():
@@ -325,107 +372,11 @@ def build_parser():
                                  "evaluation, cones, Schouten algebra, radial solver, "
                                  "diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an operator at an eigenvalue tuple")
-    p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("grad", help="analytic gradient of an operator")
-    p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_grad)
-
-    p = sub.add_parser("axioms", help="sampled verification of the operator axioms")
-    p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    _add_common(p, seed=True)
-    p.set_defaults(fn=_cmd_axioms)
-
-    p = sub.add_parser("cone", help="cone membership and boundary shift")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cone)
-
-    p = sub.add_parser("inclusion", help="sampled Garding-cone inclusion test")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100000)
-    _add_common(p, seed=True)
-    p.set_defaults(fn=_cmd_inclusion)
-
-    def profile_args(p):
-        p.add_argument("--profile", help="catalog descriptor, e.g. bubble:scale=1")
-        p.add_argument("--profile-file", help="two-column (r, v) text file")
-        p.add_argument("--gauge", choices=conformal.GAUGES, default="v")
-        p.add_argument("--background", default="flat", help="flat or sphere:a=R")
-        p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("schouten", help="Schouten eigenvalues of a profile at a point")
-    profile_args(p)
-    p.add_argument("--x", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_schouten)
-
-    p = sub.add_parser("kelvin", help="Kelvin transform evaluation and eigenvalues")
-    profile_args(p)
-    p.add_argument("--x", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_kelvin)
-
-    def solver_args(p):
-        p.add_argument("--config", required=True, help="SolverConfig JSON document")
-        p.add_argument("--grid", type=int, help="override the grid size")
-        p.add_argument("--p", type=float, help="override the exponent p")
-        p.add_argument("--rhs", type=float, help="override the constant rhs")
-
-    p = sub.add_parser("solve", help="damped Newton solve of the radial BVP")
-    solver_args(p)
-    p.add_argument("--profile-out", help="write the solved (r, v) profile here")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("continue-p", help="warm-started sweep over the exponent p")
-    solver_args(p)
-    p.add_argument("--p-schedule", required=True, help="comma-separated exponents")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_continue_p)
-
-    p = sub.add_parser("converge", help="grid-refinement study against an exact profile")
-    solver_args(p)
-    p.add_argument("--refinements", type=int, default=3)
-    p.add_argument("--exact", required=True, help="exact-solution profile descriptor")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_converge)
-
-    p = sub.add_parser("monitor", help="gradient or Hessian estimate monitor")
-    profile_args(p)
-    p.add_argument("--kind", choices=("grad", "hess"), default="grad")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--samples", type=int, default=diagnostics.RADIAL_SCAN)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_monitor)
-
-    p = sub.add_parser("bishop-gromov", help="geodesic/Euclidean ball volume ratios")
-    profile_args(p)
-    p.add_argument("--radii", required=True, help="comma-separated radii")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bishop_gromov)
-
-    p = sub.add_parser("harnack", help="Harnack exponent and sampled Holder seminorm")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples-file", help="text table: point columns plus value column")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_harnack)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=handler)
     return parser
 
 

@@ -6,6 +6,8 @@ Operator, cone, profile and background descriptors share one grammar,
 parsed by :func:`parse_descriptor` into usage errors.
 """
 
+import math
+
 
 class ConfhessError(Exception):
     """Base class for every error raised by this package."""
@@ -41,6 +43,13 @@ class UsageError(ConfhessError, ValueError):
     """Malformed CLI arguments or configuration files."""
 
 
+def _finite_or_text(val):
+    try:
+        return math.isfinite(float(val))
+    except ValueError:
+        return True
+
+
 def parse_descriptor(text, what, table):
     """Build an object from descriptor text ``head[:key=val,...]``.
 
@@ -48,7 +57,8 @@ def parse_descriptor(text, what, table):
     callable building the object from the dict of given fields.  An
     ``inner=`` field comes last and takes the rest of the text, so nested
     descriptors such as ``ricci:inner=quotient:k=2,l=1`` need no quoting.
-    Unknown heads and keys, repeated keys, items without a value and the
+    Unknown heads and keys, repeated keys, items without a value, values
+    that read as a non-finite float (``nan``, ``inf``, ``1e999``) and the
     ``KeyError``/``ValueError`` raised by ``make`` become :class:`UsageError`.
     """
     head, _, rest = text.partition(":")
@@ -65,6 +75,8 @@ def parse_descriptor(text, what, table):
         if key not in keys or key in fields:
             raise UsageError(f"{what} '{text}': field '{key}' is unknown or repeated "
                              f"(fields: {', '.join(keys) or 'none'})")
+        if key != "inner" and not _finite_or_text(val):
+            raise UsageError(f"{what} '{text}' needs a finite {key}")
         fields[key] = val.strip()
     try:
         return make(fields)

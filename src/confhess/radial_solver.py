@@ -27,7 +27,10 @@ the first Newton step, ``scipy.interpolate`` on the first
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,111 @@ MARGIN_RETENTION = 0.1
 ROUNDING_FLOOR = 1.0
 
 
+def _finite(x):
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
+def _count(x, least):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+
+
+def _constant(rhs):
+    if callable(rhs):
+        raise UsageError("only constant rhs values serialize to JSON")
+    return float(rhs)
+
+
+#: The keys of each kind of initial-guess object besides ``kind``, with the
+#: test each value must pass.  A key left out reads as 0.0, the default
+#: ``sin_amplitude``, which every other test rejects.
+_GUESS_KEYS = {
+    "geometric": {},
+    "profile": {"name": lambda x: isinstance(x, str), "sin_amplitude": _finite},
+    "values": {"values": lambda x: isinstance(x, list) and all(map(_finite, x))},
+}
+
+
+def _guess_doc(guess):
+    """The JSON object of an initial guess given as a name, an object or node values."""
+    if isinstance(guess, str):
+        return {"kind": "geometric"} if guess == "geometric" else {"kind": "profile", "name": guess}
+    if isinstance(guess, np.ndarray):
+        return {"kind": "values", "values": [float(t) for t in guess]}
+    if not isinstance(guess, dict):
+        raise UsageError("this initial guess does not serialize to JSON")
+    tests = {"kind": lambda x: x in _GUESS_KEYS, **_GUESS_KEYS.get(guess.get("kind"), {})}
+    for key in sorted(guess.keys() | tests.keys()):
+        if key not in tests or not tests[key](guess.get(key, 0.0)):
+            raise UsageError(f"config: field 'initial_guess.{key}' "
+                             "is unknown, missing or not valid")
+    return guess
+
+
+class _Field(NamedTuple):
+    """A config field: its key path in the JSON document, the JSON types it may
+    take (never a bool), what its value must be, and how it is read and written."""
+
+    path: tuple
+    attr: str
+    types: tuple
+    valid: str = ""                     # what ``check`` accepts, for its message
+    check: object = None                # (value, config) -> True when valid
+    decode: object = lambda x, n: x     # (JSON value, dimension n) -> value
+    encode: object = lambda x: x        # value -> JSON value
+
+
+_REAL, _NULL = (int, float), type(None)
+
+#: The fields in the order of the JSON document.  ``n`` is the operator's
+#: dimension: the descriptors are read at it, and it is no constructor argument.
+_FIELDS = (
+    _Field(("operator",), "operator", (str,), decode=symfun.parse_operator,
+           encode=lambda op: op.descriptor()),
+    _Field(("n",), "n", (int,), decode=None),
+    _Field(("cone",), "cone", (str, _NULL),
+           decode=lambda text, n: None if text is None else cones.parse_cone(text, n),
+           encode=lambda cone: None if cone is None else cone.descriptor()),
+    _Field(("domain",), "domain", (list,), "[r0, r1] with finite r1 > r0 >= 0",
+           lambda d, _: len(d) == 2 and all(map(_finite, d)) and d[1] > d[0] >= 0.0,
+           lambda d, n: tuple(d), list),
+    _Field(("grid",), "grid", (int,), "an integer >= 16", lambda x, _: _count(x, 16)),
+    _Field(("rhs",), "rhs", _REAL, "finite and > 0, or callable",
+           lambda x, _: callable(x) or _finite(x) and x > 0.0, encode=_constant),
+    _Field(("boundary", "left"), "boundary_left", _REAL + (str,),
+           'finite and > 0, or "symmetry" when r0 = 0',
+           lambda x, cfg: cfg.domain[0] == 0.0 if x == "symmetry" else _finite(x) and x > 0.0),
+    _Field(("boundary", "right"), "boundary_right", _REAL, "finite and > 0",
+           lambda x, _: _finite(x) and x > 0.0),
+    _Field(("exponent_p",), "exponent_p", _REAL + (_NULL,), "null or finite",
+           lambda x, _: x is None or _finite(x)),
+    _Field(("initial_guess",), "initial_guess", (str, dict), encode=_guess_doc,
+           # an object that is not valid raises a usage error naming its bad key
+           check=lambda x, _: not isinstance(x, dict) or _guess_doc(x) is x),
+    _Field(("tolerances", "residual"), "residual_tol", _REAL, "finite and > 0",
+           lambda x, _: _finite(x) and x > 0.0),
+    _Field(("tolerances", "max_newton"), "max_newton", (int,), "an integer >= 1",
+           lambda x, _: _count(x, 1)),
+    _Field(("tolerances", "min_damping"), "min_damping", _REAL, "finite and in (0, 1]",
+           lambda x, _: _finite(x) and 0.0 < x <= 1.0),
+)
+#: Key paths of the JSON objects that group fields.
+_SECTIONS = {f.path[:-1] for f in _FIELDS if len(f.path) > 1}
+
+
+def _leaves(doc, path=()):
+    """The document's values by key path, looking into the grouping objects."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"config: {'.'.join(path) or 'the document'} must be an object")
+    leaves = {}
+    for key, value in doc.items():
+        sub = path + (key,)
+        leaves.update(_leaves(value, sub) if sub in _SECTIONS else {sub: value})
+    return leaves
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Problem description for :func:`newton_solve`.
@@ -54,7 +162,8 @@ class SolverConfig:
     ``r0 = 0``); ``initial_guess`` accepts ``"geometric"``, a catalog
     profile descriptor (optionally via a dict with a ``sin_amplitude``
     perturbation, even about r0 at a symmetry boundary), an explicit array of
-    node values, a radial profile object, or a callable of r.
+    node values, a radial profile object, or a callable of r.  Every field
+    is checked on construction as its row of ``_FIELDS`` says.
     """
 
     operator: object
@@ -71,18 +180,10 @@ class SolverConfig:
     min_damping: float = MIN_DAMPING
 
     def __post_init__(self):
-        r0, r1 = self.domain
-        if not (r1 > r0 >= 0.0):
-            raise DomainError(f"domain must satisfy r1 > r0 >= 0, got [{r0}, {r1}]")
-        if self.grid < 16:
-            raise DomainError(f"grid must have at least 16 intervals, got {self.grid}")
-        if self.boundary_left == "symmetry":
-            if r0 != 0.0:
-                raise DomainError("symmetry condition requires r0 = 0")
-        elif not float(self.boundary_left) > 0.0:
-            raise DomainError("left boundary value must be positive")
-        if not self.boundary_right > 0.0:
-            raise DomainError("right boundary value must be positive")
+        for f in _FIELDS:
+            if f.check is not None and not f.check(getattr(self, f.attr), self):
+                raise DomainError(f"{'.'.join(f.path)} must be {f.valid}, "
+                                  f"got {getattr(self, f.attr)}")
 
     @property
     def n(self):
@@ -116,81 +217,44 @@ class SolverConfig:
         return phi
 
     def to_dict(self):
-        if callable(self.rhs):
-            raise UsageError("only constant rhs values serialize to JSON")
-        init = self.initial_guess
-        if isinstance(init, np.ndarray):
-            init = {"kind": "values", "values": [float(t) for t in init]}
-        elif isinstance(init, str):
-            init = {"kind": "geometric"} if init == "geometric" else {"kind": "profile", "name": init}
-        elif not isinstance(init, dict):
-            raise UsageError("this initial guess does not serialize to JSON")
-        return {
-            "operator": self.operator.descriptor(),
-            "n": self.n,
-            "cone": None if self.cone is None else self.cone.descriptor(),
-            "domain": [self.domain[0], self.domain[1]],
-            "grid": self.grid,
-            "rhs": float(self.rhs),
-            "boundary": {"left": self.boundary_left, "right": self.boundary_right},
-            "exponent_p": None if self.exponent_p is None else float(self.exponent_p),
-            "initial_guess": init,
-            "tolerances": {
-                "residual": self.residual_tol,
-                "max_newton": self.max_newton,
-                "min_damping": self.min_damping,
-            },
-        }
+        doc = {}
+        for f in _FIELDS:
+            *section, key = f.path
+            target = doc.setdefault(section[0], {}) if section else doc
+            target[key] = f.encode(getattr(self, f.attr))
+        return doc
 
     @staticmethod
     def from_dict(doc):
-        def require(key, types, where="config"):
-            if key not in doc:
-                raise UsageError(f"{where}: missing field '{key}'")
-            val = doc[key]
-            if types is not None and not isinstance(val, types):
-                raise UsageError(f"{where}: field '{key}' has wrong type")
-            return val
-
-        n = require("n", int)
-        operator = symfun.parse_operator(require("operator", str), n)
-        domain = require("domain", (list, tuple))
-        if len(domain) != 2:
-            raise UsageError("config: field 'domain' must be [r0, r1]")
-        boundary = require("boundary", dict)
-        if "right" not in boundary:
-            raise UsageError("config: field 'boundary.right' is missing")
-        left = boundary.get("left", "symmetry")
-        cone = doc.get("cone")
-        tol = doc.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise UsageError("config: field 'tolerances' must be an object")
-        init = doc.get("initial_guess", {"kind": "geometric"})
+        """Read a JSON document; any field that is not as ``_FIELDS`` says is a
+        :class:`UsageError` that names it."""
+        leaves = _leaves(doc)
+        unknown = sorted(leaves.keys() - {f.path for f in _FIELDS})
+        if unknown:
+            raise UsageError(f"config: unknown field '{'.'.join(unknown[0])}'")
+        optional = {d.name for d in dataclasses.fields(SolverConfig)
+                    if d.default is not dataclasses.MISSING}
+        for f in _FIELDS:
+            if f.path not in leaves:
+                if f.attr not in optional:
+                    raise UsageError(f"config: missing field '{'.'.join(f.path)}'")
+            elif isinstance(leaves[f.path], bool) or not isinstance(leaves[f.path], f.types):
+                raise UsageError(f"config: field '{'.'.join(f.path)}' has wrong type")
         try:
-            return SolverConfig(
-                operator=operator,
-                domain=(float(domain[0]), float(domain[1])),
-                grid=require("grid", int),
-                rhs=float(require("rhs", (int, float))),
-                boundary_left=left if left == "symmetry" else float(left),
-                boundary_right=float(boundary["right"]),
-                exponent_p=doc.get("exponent_p"),
-                cone=None if cone is None else cones.parse_cone(cone, n),
-                initial_guess=init,
-                residual_tol=float(tol.get("residual", RESIDUAL_TOL)),
-                max_newton=int(tol.get("max_newton", MAX_NEWTON)),
-                min_damping=float(tol.get("min_damping", MIN_DAMPING)),
-            )
+            return SolverConfig(**{f.attr: f.decode(leaves[f.path], leaves[("n",)])
+                                   for f in _FIELDS if f.path in leaves and f.decode})
+        except UsageError:
+            raise
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config: {exc}") from exc
 
     @staticmethod
     def from_json(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file '{path}': {exc}") from exc
+        except (OSError, ValueError) as exc:    # unreadable, not JSON, or too long an integer
+            raise UsageError(f"config file '{path}': {exc}") from exc
         return SolverConfig.from_dict(doc)
 
 
@@ -358,10 +422,9 @@ def initial_vector(cfg):
     """Materialize the configured initial guess on the grid."""
     r = cfg.nodes()
     guess = cfg.initial_guess
-    if isinstance(guess, str):
-        guess = {"kind": "geometric"} if guess == "geometric" else {"kind": "profile", "name": guess}
-    if isinstance(guess, dict):
-        kind = guess.get("kind")
+    if isinstance(guess, (str, dict)):
+        guess = _guess_doc(guess)
+        kind = guess["kind"]
         if kind == "geometric":
             right = cfg.boundary_right
             left = right if cfg.boundary_left == "symmetry" else float(cfg.boundary_left)
@@ -376,10 +439,8 @@ def initial_vector(cfg):
                 # the ghost node mirrors v at a symmetry boundary: a slope there is a kink
                 bump = np.cos(0.5 * arg) if cfg.boundary_left == "symmetry" else np.sin(arg)
                 v0 = v0 * (1.0 + amp * bump)
-        elif kind == "values":
-            v0 = np.asarray(guess["values"], dtype=float)
         else:
-            raise UsageError(f"initial_guess.kind '{kind}' is not geometric/profile/values")
+            v0 = np.asarray(guess["values"], dtype=float)
     elif isinstance(guess, conformal.RadialProfile):
         v0 = np.asarray(guess.radial_value(r), dtype=float)
     elif callable(guess):

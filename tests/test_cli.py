@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import signal
 import warnings
 from pathlib import Path
 
@@ -62,8 +63,8 @@ def test_unknown_subcommand_and_operator_are_usage_errors(capsys):
 
 
 #: Arguments completing a command for each descriptor flag, and malformed
-#: descriptors for it: an unknown head, an unknown key, a duplicate key and
-#: a key without a value.
+#: descriptors for it: an unknown head, an unknown key, a duplicate key, a
+#: key without a value and a value that is not a finite number.
 DESCRIPTOR_COMMANDS = {
     "--op": ["eval", "--n", "3", "--lambda", "3,1,2"],
     "--cone": ["cone", "--n", "3", "--lambda", "1,1,1"],
@@ -73,8 +74,10 @@ DESCRIPTOR_COMMANDS = {
 MALFORMED_DESCRIPTORS = {
     "--op": ["mystery:k=1", "pucci:k=1,delt=0.25", "sigma-root:k=2,k=3", "sigma-root:k"],
     "--cone": ["wedge:k=2", "gamma:kk=2", "gamma:k=2,k=3", "gamma:k="],
-    "--profile": ["blob:scale=1", "bubble:scal=0.5", "bubble:scale=1,scale=2", "bubble:scale"],
-    "--background": ["torus:a=1", "sphere:radius=2", "sphere:a=1,a=2", "sphere:a"],
+    "--profile": ["blob:scale=1", "bubble:scal=0.5", "bubble:scale=1,scale=2", "bubble:scale",
+                  "bubble:scale=nan", "bubble:scale=inf", "bubble:scale=1e999"],
+    "--background": ["torus:a=1", "sphere:radius=2", "sphere:a=1,a=2", "sphere:a",
+                     "sphere:a=nan", "sphere:a=inf"],
 }
 
 
@@ -306,6 +309,35 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"grid": 64.0}, "usage error: config: field 'grid' has wrong type\n"),
+    ({"grdi": 64}, "usage error: config: unknown field 'grdi'\n"),
+], ids=["grid=64.0", "grdi=64"])
+def test_config_usage_error_is_prefixed_once(tmp_path, capsys, override, message):
+    path = write_bubble_config(tmp_path, **override)
+    assert run(capsys, "solve", "--config", str(path)) == (3, "", message)
+
+
+@pytest.mark.parametrize("flag, value, field", [("--p", "nan", "exponent_p"),
+                                                ("--rhs", "inf", "rhs"),
+                                                ("--grid", "8", "grid")])
+def test_solver_flag_overrides_are_checked(tmp_path, capsys, flag, value, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", "--config", str(write_bubble_config(tmp_path)),
+                             flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["schouten", "kelvin"])
+@pytest.mark.parametrize("x", ["1,2", "1,0,0,0,0", "nan,0,0,0", "1,inf,0,0"])
+def test_point_must_have_n_finite_coordinates(capsys, command, x):
+    code, out, err = run(capsys, command, "--profile", "bubble:scale=1", "--n", "4", f"--x={x}")
+    assert (code, out) == (3, "")
+    assert err == f"usage error: --x must be 4 finite numbers, got '{x}'\n"
+
+
 def test_continue_p(tmp_path, capsys):
     op = symfun.SigmaKRoot(n=4, k=2)
     bub = conformal.bubble_profile(4)
@@ -473,8 +505,49 @@ def test_trace_shift_overflow_is_a_numeric_failure(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Property tests: every eval/grad/cone/axioms call ends with a documented exit code
+# Property tests: every eval/grad/cone/axioms call, and every solve of a config
+# document, ends with a documented exit code
 # ---------------------------------------------------------------------------
+
+#: Seconds an example may run before it fails as a hang.
+EXAMPLE_SECONDS = 10.0
+
+
+@contextlib.contextmanager
+def wall_clock_limit(seconds, context):
+    """Fail the running example, naming ``context``, once it has run ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s: {context}")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    timer = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def assert_documented_exit(argv, context=None):
+    """Run the CLI in process under the wall-clock guard and check its exit
+    contract: a documented code, no traceback or warning, and no non-finite
+    number reported as success.  ``context`` (default ``argv``) names the
+    example in failure messages."""
+    context = argv if context is None else context
+    out, err = io.StringIO(), io.StringIO()
+    with wall_clock_limit(EXAMPLE_SECONDS, context), \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), context
+    assert not caught, (context, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (context, err)
+    if code == 0:
+        assert err == "" and not NON_FINITE.search(out), (context, out)
+
 
 #: Numbers at the edges of the float range, as a shell user would type them.
 EDGE_NUMBERS = ("nan", "NaN", "inf", "-inf", "+inf", "0", "-0", "1e308", "-1e308",
@@ -550,16 +623,66 @@ def test_cli_exits_with_a_documented_code_on_any_input(data):
                                  label="lambda"))
         args = data.draw(st.sampled_from((["--lambda", lam], ["--lambda=" + lam])))
     fmt = data.draw(st.sampled_from(("text", "json")), label="format")
-    argv = [command, flag, descriptor, "--n", str(n), *args, "--format", fmt]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3), argv
-    assert not caught, (argv, [str(w.message) for w in caught])
-    assert "Traceback" not in err and "Warning" not in err, (argv, err)
-    if code == 0:
-        assert err == "" and not NON_FINITE.search(out), (argv, out)
+    assert_documented_exit([command, flag, descriptor, "--n", str(n), *args, "--format", fmt])
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "bubble_annulus.json"
+#: Valid values of every field of the demo config, the demo's own first; the
+#: tolerances instead come from a small set that keeps every solve cheap.
+VALID_FIELDS = {
+    ("operator",): ("sigma-root:k=2", "sigma-root:k=1", "quotient:k=2,l=1"),
+    ("n",): (4,),
+    ("cone",): (None, "gamma:k=2"),
+    ("domain",): ([0.1, 2.0], [0.5, 2.0], [0.0, 2.0]),
+    ("grid",): (16, 32, 64),
+    ("rhs",): (4.898979485566356, 4.0, 6.0),
+    ("boundary", "left"): (0.9900990099009901, 0.8, "symmetry"),
+    ("boundary", "right"): (0.2, 0.25),
+    ("exponent_p",): (None, 3.0, 3.5),
+    ("initial_guess", "kind"): ("profile",),
+    ("initial_guess", "name"): ("bubble:scale=1", "bubble:scale=0.9"),
+    ("initial_guess", "sin_amplitude"): (0.05, 0.0),
+    ("tolerances", "residual"): (1e-10, 1e-6),
+    ("tolerances", "max_newton"): (8, 1, 4),
+    ("tolerances", "min_damping"): (2.0 ** -6, 0.5, 1.0),
+}
+#: Invalid values by kind; in a list field one entry takes the value.
+INVALID_VALUES = {
+    "wrong-typed": ("text", True, [1.0], {"key": 1.0}, 2),
+    "non-finite": (float("nan"), float("inf"), float("-inf")),
+    "zero or negative": (0, 0.0, -1, -0.5),
+}
+
+
+@st.composite
+def config_documents(draw):
+    """The demo config with each field valid, and up to two of them missing,
+    invalid or joined by an unknown key."""
+    doc = json.loads(DEMO_CONFIG.read_text())
+    for (*section, key), values in VALID_FIELDS.items():
+        (doc[section[0]] if section else doc)[key] = draw(mostly(st.just(values[0]),
+                                                                 st.sampled_from(values)))
+    kinds = ("missing", "unknown key", *INVALID_VALUES)
+    for (*section, key), kind in draw(st.lists(st.tuples(st.sampled_from(list(VALID_FIELDS)),
+                                                         st.sampled_from(kinds)), max_size=2)):
+        target = doc[section[0]] if section else doc
+        if kind == "missing":
+            target.pop(key, None)
+        elif kind == "unknown key":
+            target[key + "s"] = target.get(key)
+        elif isinstance(target.get(key), list):
+            target[key] = list(target[key])
+            target[key][draw(st.integers(0, len(target[key]) - 1))] = draw(
+                st.sampled_from(INVALID_VALUES[kind]))
+        else:
+            target[key] = draw(st.sampled_from(INVALID_VALUES[kind]))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=config_documents(), fmt=st.sampled_from(("text", "json")))
+def test_solve_exits_with_a_documented_code_on_any_config(tmp_path_factory, doc, fmt):
+    path = tmp_path_factory.getbasetemp() / "drawn_config.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--config", str(path), "--format", fmt]
+    assert_documented_exit(argv, (argv, json.dumps(doc)))

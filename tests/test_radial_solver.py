@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -407,6 +408,66 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         rs.SolverConfig(operator=op, domain=(0.1, 2.0), grid=32, rhs=1.0,
                         boundary_left=1.0, boundary_right=-1.0)
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path):
+    # a missing file, and an integer literal beyond Python's 4300-digit limit
+    path = tmp_path / "long.json"
+    with pytest.raises(UsageError, match="config file"):
+        rs.SolverConfig.from_json(path)
+    path.write_text('{"grid": 1' + "0" * 5000 + "}")
+    with pytest.raises(UsageError, match="config file"):
+        rs.SolverConfig.from_json(path)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+#: A config field, a value outside its range and the start of the message
+#: after "config: ".
+CONFIG_FIELD_CASES = [
+    (("tolerances", "min_damping"), 0, "tolerances.min_damping must be"),
+    (("tolerances", "min_damping"), NAN, "tolerances.min_damping must be"),
+    (("tolerances", "min_damping"), 1.5, "tolerances.min_damping must be"),
+    (("tolerances", "max_newton"), -3, "tolerances.max_newton must be"),
+    (("tolerances", "max_newton"), True, "field 'tolerances.max_newton' has wrong type"),
+    (("tolerances", "residual"), NAN, "tolerances.residual must be"),
+    (("boundary", "left"), INF, "boundary.left must be"),
+    (("boundary", "right"), NAN, "boundary.right must be"),
+    (("rhs",), INF, "rhs must be"),
+    (("rhs",), 10 ** 400, "rhs must be"),
+    (("exponent_p",), NAN, "exponent_p must be"),
+    (("domain",), [0.1, INF], "domain must be"),
+    (("domain",), [NAN, 2.0], "domain must be"),
+    (("grid",), True, "field 'grid' has wrong type"),
+    (("initial_guess", "kind"), "spline", "field 'initial_guess.kind'"),
+    (("initial_guess", "sin_amplitude"), "big", "field 'initial_guess.sin_amplitude'"),
+    (("initial_guess", "sin_amplitud"), 0.1, "field 'initial_guess.sin_amplitud'"),
+    (("grdi",), 64, "unknown field 'grdi'"),
+    (("boundary", "rigth"), 0.2, "unknown field 'boundary.rigth'"),
+    (("tolerances", "max_newtons"), 8, "unknown field 'tolerances.max_newtons'"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", CONFIG_FIELD_CASES,
+                         ids=[f"{'.'.join(p)}={str(v):.12}" for p, v, _ in CONFIG_FIELD_CASES])
+def test_config_field_is_checked_at_load(path, value, named):
+    # loading alone: a min_damping of 0 or NaN once made the line search loop forever
+    doc = bubble_cfg(grid=32).to_dict()
+    *section, key = path
+    (doc[section[0]] if section else doc)[key] = value
+    with pytest.raises(UsageError, match="^config: " + re.escape(named)):
+        rs.SolverConfig.from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field, value", [("min_damping", 0.0), ("min_damping", NAN),
+                                          ("max_newton", -3), ("max_newton", 2.5),
+                                          ("residual_tol", NAN), ("grid", True),
+                                          ("boundary_left", INF), ("exponent_p", NAN),
+                                          ("rhs", INF), ("domain", (0.0, INF))])
+def test_keyword_config_is_checked_like_the_json_reader(field, value):
+    with pytest.raises(DomainError, match=" must be "):
+        dataclasses.replace(bubble_cfg(grid=32), **{field: value})
 
 
 def test_natural_exponent_and_q():
