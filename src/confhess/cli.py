@@ -66,8 +66,11 @@ def _csv_lines(header, rows):
 
 def _write(args, text):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:      # a missing directory, or no permission
+            raise UsageError(f"cannot write --out '{args.out}': {exc}") from exc
     else:
         print(text)
 
@@ -287,7 +290,10 @@ def _cmd_harnack(args):
     payload = {"delta": args.delta, "n": args.n, "beta": beta}
     lines = [f"beta = {_fmt(beta)}"]
     if args.samples_file:
-        data = np.loadtxt(args.samples_file)
+        try:
+            data = np.loadtxt(args.samples_file)
+        except (OSError, ValueError) as exc:    # missing, unreadable or not numbers
+            raise UsageError(f"samples file '{args.samples_file}': {exc}") from exc
         if data.ndim != 2 or data.shape[1] < 2:
             raise UsageError("samples file must have point columns plus a value column")
         seminorm = diagnostics.holder_check(data[:, :-1], data[:, -1], beta)

@@ -465,7 +465,10 @@ def grid_radial_profile(r, v, n, gauge="v", background=None, label="grid"):
 
 def load_radial_profile(path, n, gauge="v", background=None):
     """Load a two-column ``(r, v)`` text file into a radial profile."""
-    data = np.loadtxt(path)
+    try:
+        data = np.loadtxt(path)
+    except (OSError, ValueError) as exc:    # missing, unreadable or not numbers
+        raise UsageError(f"profile file '{path}': {exc}") from exc
     if data.ndim != 2 or data.shape[1] < 2:
         raise UsageError(f"profile file '{path}' is not a two-column table")
     return grid_radial_profile(data[:, 0], data[:, 1], n, gauge=gauge,

@@ -123,8 +123,8 @@ def _sobol_ball(n, radius, count, seed=0):
 
 
 def _check_ball(radius, num_samples):
-    if not (radius > 0.0 and num_samples >= 1):
-        raise DomainError(f"need a positive radius and samples, got {radius}, {num_samples}")
+    if not (0.0 < radius < math.inf and num_samples >= 1):
+        raise DomainError(f"need a finite positive radius and samples, got {radius}, {num_samples}")
 
 
 def _sampled(kind, radius, z, pts):
@@ -292,8 +292,8 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
     if pu.background.kind != "flat":
         raise DomainError("volume comparison is defined over the flat background")
     r_list = np.asarray(r_list, dtype=float)
-    if np.any(r_list <= 0.0):
-        raise DomainError("radii must be positive")
+    if not np.all((r_list > 0.0) & (r_list < np.inf)):     # NaN fails both
+        raise DomainError("radii must be finite and positive")
     n = pu.n
     u = pu.radial_value
 

@@ -20,6 +20,19 @@ at least 10% of the previous margin and the residual max-norm decreases.
 The operator degenerates on the cone boundary, so losing the margin stalls
 Newton; damping protects against that.
 
+Each line-search trial makes one pass over the nodes: the stencil and the
+eigentuples of the trial profile, held in a private node state together
+with the nodes and phi values, which are computed once per solve.  The
+trial's margins and residual read that state, and on acceptance so do the
+Jacobian and the final report.  Node tuples are two-valued, ``(a, b, .., b)``,
+so a Gamma_k margin needs no root finding: Garding's factorisation
+
+    sigma_k(a + t, (b + t)^(n-1)) = C(n-1, k-1) (b + t)^(k-1) ((a + t) + (n-k)(b + t)/k)
+
+puts the boundary at ``t* = max(-b, -(k a + (n-k) b)/n)`` for k >= 2 and at
+``t* = -(a + (n-1) b)/n`` for k = 1.  Other cones use
+:func:`cones.boundary_shift`.
+
 scipy is imported on first use, not with the module: ``scipy.linalg`` on
 the first Newton step, ``scipy.interpolate`` on the first
 :meth:`SolveResult.profile`.
@@ -29,6 +42,7 @@ import dataclasses
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -304,9 +318,9 @@ class SolveResult:
         np.savetxt(path, np.column_stack([self.r, self.v]), fmt="%.17g")
 
 
-def _stencil(cfg, v):
-    """Nodal v', v'' from central differences (one-sided at Dirichlet ends)."""
-    r = cfg.nodes()
+def _stencil(cfg, v, r):
+    """Nodal v', v'' at the nodes ``r = cfg.nodes()`` from central differences
+    (one-sided at Dirichlet ends)."""
     h = r[1] - r[0]
     m = v.size
     v1 = np.empty(m)
@@ -324,10 +338,11 @@ def _stencil(cfg, v):
     return r, h, v1, v2
 
 
-def node_eigentuples(cfg, v):
-    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node."""
+def node_eigentuples(cfg, v, *, jet=None):
+    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node;
+    ``jet`` is ``_stencil(cfg, v, cfg.nodes())`` where the caller has it."""
     v = np.asarray(v, dtype=float)
-    r, _, v1, v2 = _stencil(cfg, v)
+    r, _, v1, v2 = _stencil(cfg, v, cfg.nodes()) if jet is None else jet
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lam_rad, lam_tan = conformal.radial_jet_eigs(cfg.n, r, v, v1, v2)
     lam = np.empty((v.size, cfg.n))
@@ -336,48 +351,67 @@ def node_eigentuples(cfg, v):
     return lam
 
 
-def residual(cfg, v):
+#: One pass over the nodes of a profile: the stencil's ``(r, h, v1, v2)``, the
+#: eigentuples, and the solve's phi values (None until they are needed).
+_Nodes = namedtuple("_Nodes", "r h v1 v2 lam phi")
+
+
+def _nodes(cfg, v, r, phi=None):
+    jet = _stencil(cfg, v, r)
+    return _Nodes(*jet, node_eigentuples(cfg, v, jet=jet), phi)
+
+
+def residual(cfg, v, *, nodes=None):
     """Nonlinear residual; PDE rows carry ``f(lam) - phi v^q``, boundary rows
     the Dirichlet defects.  Nodes where the operator formula is undefined
     (eigenvalues outside its domain) yield NaN entries; use
-    :func:`admissibility_margins` to locate them."""
+    :func:`admissibility_margins` to locate them.  ``nodes`` is the node state
+    of ``v`` where the caller has it, as for :func:`admissibility_margins` and
+    :func:`jacobian`."""
     v = np.asarray(v, dtype=float)
     if v.shape != (cfg.grid + 1,):
         raise DomainError(f"profile must have {cfg.grid + 1} nodes")
-    r = cfg.nodes()
-    lam = node_eigentuples(cfg, v)
-    phi = cfg.phi_values(r)
+    st = nodes or _nodes(cfg, v, cfg.nodes())
+    phi = cfg.phi_values(st.r) if st.phi is None else st.phi
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        res = cfg.operator.value(lam) - phi * v ** cfg.q
+        res = cfg.operator.value(st.lam) - phi * v ** cfg.q
     if cfg.boundary_left != "symmetry":
         res[0] = v[0] - float(cfg.boundary_left)
     res[-1] = v[-1] - cfg.boundary_right
     return res
 
 
-def admissibility_margins(cfg, v):
+def admissibility_margins(cfg, v, *, nodes=None):
     """Diagonal boundary-shift values of every node's eigenvalue tuple.
 
     Strict admissibility at a node means a negative value; the margin is its
-    absolute value."""
-    lam = node_eigentuples(cfg, np.asarray(v, dtype=float))
+    absolute value.  Node tuples are two-valued, ``(a, b, .., b)``, and there
+    Gamma_k's shift is the largest root of ``sigma_k(a + t, (b + t)^(n-1)) =
+    C(n-1, k-1) (b + t)^(k-1) ((a + t) + (n-k)(b + t)/k)``:
+    ``max(-b, -(k a + (n-k) b)/n)``, or ``-(a + (n-1) b)/n`` at k = 1.  Other
+    cones take :func:`cones.boundary_shift`."""
+    lam = (nodes or _nodes(cfg, np.asarray(v, dtype=float), cfg.nodes())).lam
+    cone = cfg.admissibility_cone
+    if isinstance(cone, cones.GammaK) and cone.n == cfg.n:
+        n, k, a, b = cone.n, cone.k, lam[:, 0], lam[:, 1]
+        with np.errstate(invalid="ignore", over="ignore"):     # on rows that are not finite
+            t = np.maximum(-b if k > 1 else -np.inf, -(k * a + (n - k) * b) / n)
+        return np.where(np.isfinite(a) & np.isfinite(b), t, np.nan)
     good = np.all(np.isfinite(lam), axis=1)
     out = np.full(lam.shape[0], np.nan)
-    out[good] = cones.boundary_shift(cfg.admissibility_cone, lam[good])
+    out[good] = cones.boundary_shift(cone, lam[good])
     return out
 
 
-def jacobian(cfg, v):
+def jacobian(cfg, v, *, nodes=None):
     """Analytic Jacobian of :func:`residual` in banded (1, 1) storage."""
     v = np.asarray(v, dtype=float)
-    r, h, v1, v2 = _stencil(cfg, v)
-    n = cfg.n
-    m = v.size
-    lam = node_eigentuples(cfg, v)
+    r, h, v1, v2, lam, phi = nodes or _nodes(cfg, v, cfg.nodes())
+    n, m = cfg.n, v.size
     grad = cfg.operator.gradient(lam)
     f_rad = grad[:, 0]
     f_tan = np.sum(grad[:, 1:], axis=1)
-    phi = cfg.phi_values(r)
+    phi = cfg.phi_values(r) if phi is None else phi
     q = cfg.q
 
     beta = (n + 2.0) / (n - 2.0)
@@ -390,7 +424,7 @@ def jacobian(cfg, v):
     upper = np.zeros(m)   # J[i, i+1] stored at upper[i]
     lower = np.zeros(m)   # J[i, i-1] stored at lower[i]
 
-    i = np.arange(1, m - 1)
+    i = slice(1, -1)
     ri = r[i]
     drad_c = -beta * lam_rad[i] / v[i] + pref[i] * (2.0 / h ** 2 - gam * v1[i] ** 2 / v[i] ** 2)
     dtan_c = -beta * lam_tan[i] / v[i] + pref[i] * (kap * v1[i] ** 2 / v[i] ** 2)
@@ -465,13 +499,15 @@ def newton_solve(cfg, iterate_hook=None):
     v = initial_vector(cfg)
     if not np.all(v > 0.0):
         raise AdmissibilityError("initial guess must be positive at every node")
-    margins = admissibility_margins(cfg, v)
+    r = cfg.nodes()
+    st = _nodes(cfg, v, r)
+    margins = admissibility_margins(cfg, v, nodes=st)
     if not np.all(margins < 0.0):
         bad = int(np.argmax(~(margins < 0.0)))
         raise AdmissibilityError(
-            f"initial guess inadmissible at node {bad} (r = {cfg.nodes()[bad]:g})",
-            node=bad)
-    res = residual(cfg, v)
+            f"initial guess inadmissible at node {bad} (r = {r[bad]:g})", node=bad)
+    st = st._replace(phi=cfg.phi_values(r))
+    res = residual(cfg, v, nodes=st)
     norm = float(np.max(np.abs(res)))
     margin_min = float(np.min(-margins))
     history = [{"residual": norm, "damping": 1.0, "trials": 0, "step_norm": 0.0}]
@@ -479,8 +515,7 @@ def newton_solve(cfg, iterate_hook=None):
         iterate_hook(v.copy(), margins.copy())
 
     def finish(converged, steps, message):
-        r, _, v1, v2 = _stencil(cfg, v)
-        return SolveResult(n=cfg.n, r=r, v=v.copy(), v1=v1, v2=v2,
+        return SolveResult(n=cfg.n, r=r, v=v.copy(), v1=st.v1, v2=st.v2,
                            residual_norm=norm, margins=margins.copy(),
                            converged=converged, newton_steps=steps,
                            history=history, message=message)
@@ -488,7 +523,7 @@ def newton_solve(cfg, iterate_hook=None):
     for step in range(cfg.max_newton):
         if norm < cfg.residual_tol:
             return finish(True, step, "converged")
-        ab = jacobian(cfg, v)
+        ab = jacobian(cfg, v, nodes=st)
         if not np.all(np.isfinite(ab)):
             raise NumericError("Jacobian contains non-finite entries")
         w = np.abs(ab * v)      # |J| |v| row by row: the residual's rounding level
@@ -509,19 +544,21 @@ def newton_solve(cfg, iterate_hook=None):
             v_try = v + s * delta
             ok = bool(np.all(v_try > 0.0))
             if ok:
-                m_try = admissibility_margins(cfg, v_try)
+                st_try = _nodes(cfg, v_try, r, st.phi)
+                m_try = admissibility_margins(cfg, v_try, nodes=st_try)
                 ok = bool(np.all(np.isfinite(m_try)) and np.all(m_try < 0.0))
             if ok:
                 mm_try = float(np.min(-m_try))
                 ok = mm_try >= MARGIN_RETENTION * margin_min
             if ok:
-                res_try = residual(cfg, v_try)
+                res_try = residual(cfg, v_try, nodes=st_try)
                 norm_try = float(np.max(np.abs(res_try)))
                 ok = np.isfinite(norm_try) and norm_try < norm
             if ok:
                 history.append({"residual": norm_try, "damping": s, "trials": trials,
                                 "step_norm": s * float(np.max(np.abs(delta)) / np.max(v))})
-                v, res, norm, margins, margin_min = v_try, res_try, norm_try, m_try, mm_try
+                v, res, norm, margins, margin_min, st = (v_try, res_try, norm_try, m_try,
+                                                         mm_try, st_try)
                 if iterate_hook is not None:
                     iterate_hook(v.copy(), margins.copy())
                 break

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -423,6 +426,55 @@ def test_profile_file_input(tmp_path, capsys):
     assert code == 0
     vals = [float(t) for t in out.strip().split(",")]
     assert np.allclose(vals, 2.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("schouten", "--profile-file", "nope.txt", "--n", "4", "--x", "1,0,0,0"),
+    ("harnack", "--delta", "0.25", "--n", "4", "--samples-file", "nope.txt"),
+], ids=["profile-file", "samples-file"])
+def test_missing_input_file_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and "'nope.txt'" in err and err.count("\n") == 1, err
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "harnack", "--delta", "0.25", "--n", "4", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"usage error: cannot write --out '{target}'"), err
+    assert err.count("\n") == 1 and not target.parent.exists()
+
+
+def test_monitor_at_an_infinite_radius_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "monitor", "--profile", "bubble:scale=1", "--n", "4",
+                         "--radius", "inf")
+    assert (code, out) == (1, "")
+    assert err == "error: need a finite positive radius and samples, got inf, 10001\n"
+
+
+#: Address space (bytes) and seconds allowed to a child running an input that once
+#: doubled its integration panels without end.
+CHILD_ADDRESS_SPACE = 1 << 30
+CHILD_SECONDS = 60
+
+
+@pytest.mark.parametrize("radii", ["nan", "0.5,inf"])
+def test_bishop_gromov_at_non_finite_radii_is_a_domain_error(radii):
+    # A regression ran out of memory here, so the CLI runs in a child process
+    # whose address space is capped, under a timeout.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2)\n"
+             "from confhess import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    argv = ["bishop-gromov", "--profile", "bubble:scale=1", "--n", "4", f"--radii={radii}"]
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                          env=env, timeout=CHILD_SECONDS, check=False)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == "error: radii must be finite and positive\n"
 
 
 def test_seed_environment_variable(tmp_path, capsys, monkeypatch):

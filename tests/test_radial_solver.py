@@ -6,7 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confhess import cones
 from confhess import conformal as cf
 from confhess import radial_solver as rs
 from confhess import symfun
@@ -129,6 +132,91 @@ def test_jacobian_symmetry_node():
         col = (rs.residual(cfg, v + e) - rs.residual(cfg, v - e)) / (2 * h)
         denom = np.maximum(np.abs(col), 1.0)
         assert np.max(np.abs(J[:, j] - col) / denom) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# admissibility margins
+# ---------------------------------------------------------------------------
+
+def two_valued_margins(n, k, a, b):
+    """``admissibility_margins`` under ``GammaK(n, k)`` of a node state whose
+    tuples are the rows ``(a, b, .., b)``, and ``boundary_shift`` of the same rows."""
+    lam = np.repeat(np.asarray(b, dtype=float).reshape(-1, 1), n, axis=1)
+    lam[:, 0] = a
+    cone = cones.GammaK(n, k)
+    cfg = rs.SolverConfig(operator=symfun.SigmaKRoot(n=n, k=1), domain=(0.1, 2.0), grid=16,
+                          rhs=1.0, boundary_left=1.0, boundary_right=1.0, cone=cone)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam=lam, phi=None)
+    return rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes), cones.boundary_shift(cone, lam)
+
+
+def assert_margins_agree(n, k, a, b):
+    closed, shift = two_valued_margins(n, k, a, b)
+    tol = 8 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    assert np.all(np.abs(closed - shift) <= tol), (n, k, a, b, closed, shift)
+
+
+#: Mantissas in [-2, 2] whose smallest nonzero magnitude, 2^-52, stays a normal
+#: number at the scale 2^-500.
+MANTISSAS = st.integers(-2 ** 53, 2 ** 53).map(lambda i: i / 2.0 ** 52)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 8), data=st.data(), a=MANTISSAS, b=MANTISSAS,
+       scale=st.sampled_from((-500, 0, 500)) | st.integers(-500, 500))
+def test_two_valued_gamma_k_margin_matches_boundary_shift(n, data, a, b, scale):
+    k = data.draw(st.integers(1, n), label="k")
+    assert_margins_agree(n, k, np.ldexp([a], scale), np.ldexp([b], scale))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_two_valued_gamma_k_margin_fixed_cases(n):
+    # a < b, a > b, a = b; rows inside and outside the cone (t* > 0); 2^-500 to 2^500
+    a = np.array([0.25, 3.0, 1.0, -1.0, -5.0, 1.0, 0.0, -2.0, 2.0, 1.0, -1.0])
+    b = np.array([1.0, 0.5, 1.0, -1.0, 1.0, -0.3, 1.0, 0.0, -0.1, -1.0, 0.1])
+    for k in range(1, n + 1):
+        for scale in (-500, 0, 500):
+            assert_margins_agree(n, k, np.ldexp(a, scale), np.ldexp(b, scale))
+        closed, shift = two_valued_margins(n, k, a, b)
+        assert np.any(closed > 0.0) and np.any(closed < 0.0)
+        assert np.array_equal(closed < 0.0, shift < 0.0)
+
+
+@pytest.mark.parametrize("cone", ["gamma:k=1", "gamma:k=2", "gamma:k=4", "sigma:delta=0.5"])
+def test_margins_of_non_finite_node_tuples_are_nan(cone):
+    cfg = bubble_cfg(cone=cones.parse_cone(cone, N_DIM))
+    lam = np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [-np.inf, np.inf], [2.0, 1.0]])
+    lam = np.repeat(lam, [1, N_DIM - 1], axis=1)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam=lam, phi=None)
+    with np.errstate(all="raise"):
+        out = rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes)
+    assert np.all(np.isnan(out[:-1])) and out[-1] < 0.0
+
+
+def test_node_margins_match_boundary_shift_of_the_node_tuples():
+    cfg = bubble_cfg(grid=64)
+    v = rs.initial_vector(cfg)
+    lam = rs.node_eigentuples(cfg, v)
+    shift = cones.boundary_shift(cfg.admissibility_cone, lam)
+    tol = 8 * np.finfo(float).eps * np.max(np.abs(lam), axis=1)
+    assert np.all(np.abs(rs.admissibility_margins(cfg, v) - shift) <= tol)
+
+
+@pytest.mark.parametrize("grid", [64, 256])
+def test_newton_makes_one_node_pass_per_trial(monkeypatch, grid):
+    # bench/spans.py counts Newton steps by the Jacobians under newton_solve and
+    # line-search trials by its admissibility_margins calls, less one per solve
+    calls = dict.fromkeys(("admissibility_margins", "jacobian", "node_eigentuples"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(rs, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rs, name, counted)
+    out = rs.newton_solve(bubble_cfg(grid=grid))
+    assert out.message == "converged"
+    assert calls["jacobian"] == out.newton_steps
+    assert calls["admissibility_margins"] == 1 + sum(h["trials"] for h in out.history)
+    assert calls["node_eigentuples"] <= calls["admissibility_margins"]
 
 
 # ---------------------------------------------------------------------------
