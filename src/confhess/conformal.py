@@ -592,12 +592,23 @@ def schouten_matrix(p, x):
 def schouten_eigs(p, x):
     """Schouten eigenvalues of the metric of ``p`` at ``x`` (sorted ascending): the
     closed form :func:`radial_jet_eigs` at ``|x - c|`` when :func:`flat_equivalent`
-    of ``p`` is radial about ``c``, else the eigenvalues of :func:`schouten_matrix`."""
+    of ``p`` is radial about ``c``, else the eigenvalues of :func:`schouten_matrix`.
+    Eigenvalues that leave the float range raise :class:`NumericError`."""
     pv = flat_equivalent(p)
     if not isinstance(pv, RadialProfile):
-        return schouten_matrix(p, x).eigenvalues
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            eigs = schouten_matrix(p, x).eigenvalues
+        _check_range(eigs)
+        return eigs
     lam_rad, lam_tan = radial_schouten_eigs(pv, _norm(np.asarray(x, dtype=float) - pv.center))
     return np.sort(np.stack([lam_rad] + [lam_tan] * (pv.n - 1), axis=-1), axis=-1)
+
+
+def _check_range(*eigs):
+    """:class:`NumericError` if an eigenvalue left the float range."""
+    for e in eigs:
+        if not np.isfinite(e).all():
+            raise NumericError("Schouten eigenvalues leave the float range")
 
 
 def tangential_hessian(r, d1, d2):
@@ -627,7 +638,8 @@ def radial_jet_eigs(n, r, v, v1, v2):
 
 def radial_schouten_eigs(p, r):
     """Radial and tangential Schouten eigenvalues of a radial profile at
-    radii ``r`` (see :func:`radial_jet_eigs`)."""
+    radii ``r`` (see :func:`radial_jet_eigs`); :class:`NumericError` where they
+    leave the float range."""
     pv = flat_equivalent(p)
     if not isinstance(pv, RadialProfile):
         raise DomainError("radial_schouten_eigs requires a radial profile "
@@ -636,7 +648,10 @@ def radial_schouten_eigs(p, r):
     val, v1, v2 = pv.radial_jet(r)
     if np.any(val <= 0.0):
         raise PositivityError("profile must be positive on the requested radii")
-    return radial_jet_eigs(pv.n, r, val, v1, v2)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        lam_rad, lam_tan = radial_jet_eigs(pv.n, r, val, v1, v2)
+    _check_range(lam_rad, lam_tan)
+    return lam_rad, lam_tan
 
 
 # ---------------------------------------------------------------------------

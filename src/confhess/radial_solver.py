@@ -18,20 +18,29 @@ stencil, a banded direct solve, and a backtracking line search that accepts
 a step only if every node stays strictly inside the admissibility cone with
 at least 10% of the previous margin and the residual max-norm decreases.
 The operator degenerates on the cone boundary, so losing the margin stalls
-Newton; damping protects against that.
+Newton; damping protects against that.  Each accepted step's history entry
+lists why its rejected trials failed, in order: ``"positivity"`` (a node
+value <= 0), ``"margin"`` (a node outside the cone), ``"retention"`` (under
+10% of the previous margin) or ``"residual"`` (no decrease); a solve that
+ends in damping underflow keeps the reasons of its last search in
+:attr:`SolveResult.rejected`.
 
 Each line-search trial makes one pass over the nodes: the stencil and the
-eigentuples of the trial profile, held in a private node state together
-with the nodes and phi values, which are computed once per solve.  The
-trial's margins and residual read that state, and on acceptance so do the
-Jacobian and the final report.  Node tuples are two-valued, ``(a, b, .., b)``,
-so a Gamma_k margin needs no root finding: Garding's factorisation
+radial and tangential eigenvalues of the trial profile, held in a private
+node state together with the nodes and phi values, which are computed once
+per solve.  The trial's margins and residual read that state, and on
+acceptance so do the Jacobian and the final report.  Node tuples are
+two-valued, ``(a, b, .., b)``, so the residual and the Jacobian take the
+operator's value and partials from its closed form on such tuples
+(:meth:`symfun.CurvatureOperator.two_valued`), and a Gamma_k margin needs no
+root finding: Garding's factorisation
 
     sigma_k(a + t, (b + t)^(n-1)) = C(n-1, k-1) (b + t)^(k-1) ((a + t) + (n-k)(b + t)/k)
 
 puts the boundary at ``t* = max(-b, -(k a + (n-k) b)/n)`` for k >= 2 and at
 ``t* = -(a + (n-1) b)/n`` for k = 1.  Other cones use
-:func:`cones.boundary_shift`.
+:func:`cones.boundary_shift` on the ``(m, n)`` node tuples, which are built only
+there and in :func:`node_eigentuples`.
 
 scipy is imported on first use, not with the module: ``scipy.linalg`` on
 the first Newton step, ``scipy.interpolate`` on the first
@@ -287,6 +296,10 @@ class SolveResult:
     newton_steps: int
     history: list = field(default_factory=list)
     message: str = ""
+    #: Why each trial of the final line search was rejected, when the solve
+    #: ends in damping underflow: "positivity", "margin", "retention" or
+    #: "residual", as in the history entries' ``rejected``.
+    rejected: list = field(default_factory=list)
 
     def profile(self, gauge="v"):
         """The solution as a radial profile carrying the solver's own nodal
@@ -312,6 +325,7 @@ class SolveResult:
             "newton_steps": self.newton_steps,
             "history": [dict(h) for h in self.history],
             "message": self.message,
+            "rejected": list(self.rejected),
         }
 
     def save_profile(self, path):
@@ -338,33 +352,43 @@ def _stencil(cfg, v, r):
     return r, h, v1, v2
 
 
-def node_eigentuples(cfg, v, *, jet=None):
-    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node;
-    ``jet`` is ``_stencil(cfg, v, cfg.nodes())`` where the caller has it."""
-    v = np.asarray(v, dtype=float)
-    r, _, v1, v2 = _stencil(cfg, v, cfg.nodes()) if jet is None else jet
+def _node_eigs(cfg, v, jet):
+    """Radial and tangential eigenvalues at the nodes of ``jet = _stencil(..)``."""
+    r, _, v1, v2 = jet
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        lam_rad, lam_tan = conformal.radial_jet_eigs(cfg.n, r, v, v1, v2)
-    lam = np.empty((v.size, cfg.n))
+        return conformal.radial_jet_eigs(cfg.n, r, v, v1, v2)
+
+
+def _tuples(n, lam_rad, lam_tan):
+    lam = np.empty((lam_rad.size, n))
     lam[:, 0] = lam_rad
     lam[:, 1:] = lam_tan[:, None]
     return lam
 
 
+def node_eigentuples(cfg, v, *, jet=None):
+    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node;
+    ``jet`` is ``_stencil(cfg, v, cfg.nodes())`` where the caller has it."""
+    v = np.asarray(v, dtype=float)
+    return _tuples(cfg.n, *_node_eigs(cfg, v, _stencil(cfg, v, cfg.nodes()) if jet is None else jet))
+
+
 #: One pass over the nodes of a profile: the stencil's ``(r, h, v1, v2)``, the
-#: eigentuples, and the solve's phi values (None until they are needed).
-_Nodes = namedtuple("_Nodes", "r h v1 v2 lam phi")
+#: radial and tangential eigenvalues, and the solve's phi values (None until
+#: they are needed).
+_Nodes = namedtuple("_Nodes", "r h v1 v2 lam_rad lam_tan phi")
 
 
 def _nodes(cfg, v, r, phi=None):
     jet = _stencil(cfg, v, r)
-    return _Nodes(*jet, node_eigentuples(cfg, v, jet=jet), phi)
+    return _Nodes(*jet, *_node_eigs(cfg, v, jet), phi)
 
 
 def residual(cfg, v, *, nodes=None):
     """Nonlinear residual; PDE rows carry ``f(lam) - phi v^q``, boundary rows
-    the Dirichlet defects.  Nodes where the operator formula is undefined
-    (eigenvalues outside its domain) yield NaN entries; use
+    the Dirichlet defects.  ``f`` is the operator's ``two_valued`` value at the
+    nodes' radial and tangential eigenvalues.  Nodes where the operator formula
+    is undefined (eigenvalues outside its domain) yield NaN entries; use
     :func:`admissibility_margins` to locate them.  ``nodes`` is the node state
     of ``v`` where the caller has it, as for :func:`admissibility_margins` and
     :func:`jacobian`."""
@@ -373,8 +397,9 @@ def residual(cfg, v, *, nodes=None):
         raise DomainError(f"profile must have {cfg.grid + 1} nodes")
     st = nodes or _nodes(cfg, v, cfg.nodes())
     phi = cfg.phi_values(st.r) if st.phi is None else st.phi
+    f = cfg.operator.two_valued(st.lam_rad, st.lam_tan)[0]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        res = cfg.operator.value(st.lam) - phi * v ** cfg.q
+        res = f - phi * v ** cfg.q
     if cfg.boundary_left != "symmetry":
         res[0] = v[0] - float(cfg.boundary_left)
     res[-1] = v[-1] - cfg.boundary_right
@@ -389,14 +414,16 @@ def admissibility_margins(cfg, v, *, nodes=None):
     Gamma_k's shift is the largest root of ``sigma_k(a + t, (b + t)^(n-1)) =
     C(n-1, k-1) (b + t)^(k-1) ((a + t) + (n-k)(b + t)/k)``:
     ``max(-b, -(k a + (n-k) b)/n)``, or ``-(a + (n-1) b)/n`` at k = 1.  Other
-    cones take :func:`cones.boundary_shift`."""
-    lam = (nodes or _nodes(cfg, np.asarray(v, dtype=float), cfg.nodes())).lam
+    cones take :func:`cones.boundary_shift` of the built tuples."""
+    st = nodes or _nodes(cfg, np.asarray(v, dtype=float), cfg.nodes())
+    a, b = st.lam_rad, st.lam_tan
     cone = cfg.admissibility_cone
     if isinstance(cone, cones.GammaK) and cone.n == cfg.n:
-        n, k, a, b = cone.n, cone.k, lam[:, 0], lam[:, 1]
+        n, k = cone.n, cone.k
         with np.errstate(invalid="ignore", over="ignore"):     # on rows that are not finite
             t = np.maximum(-b if k > 1 else -np.inf, -(k * a + (n - k) * b) / n)
         return np.where(np.isfinite(a) & np.isfinite(b), t, np.nan)
+    lam = _tuples(cfg.n, a, b)
     good = np.all(np.isfinite(lam), axis=1)
     out = np.full(lam.shape[0], np.nan)
     out[good] = cones.boundary_shift(cone, lam[good])
@@ -404,13 +431,15 @@ def admissibility_margins(cfg, v, *, nodes=None):
 
 
 def jacobian(cfg, v, *, nodes=None):
-    """Analytic Jacobian of :func:`residual` in banded (1, 1) storage."""
+    """Analytic Jacobian of :func:`residual` in banded (1, 1) storage.
+
+    The operator enters through ``two_valued`` at the nodes' radial and
+    tangential eigenvalues: ``f_rad`` is its partial in ``lam_rad`` and
+    ``f_tan`` the sum of its n-1 partials in the tangential entries."""
     v = np.asarray(v, dtype=float)
-    r, h, v1, v2, lam, phi = nodes or _nodes(cfg, v, cfg.nodes())
+    r, h, v1, v2, lam_rad, lam_tan, phi = nodes or _nodes(cfg, v, cfg.nodes())
     n, m = cfg.n, v.size
-    grad = cfg.operator.gradient(lam)
-    f_rad = grad[:, 0]
-    f_tan = np.sum(grad[:, 1:], axis=1)
+    _, f_rad, f_tan = cfg.operator.two_valued(lam_rad, lam_tan)
     phi = cfg.phi_values(r) if phi is None else phi
     q = cfg.q
 
@@ -418,7 +447,6 @@ def jacobian(cfg, v, *, nodes=None):
     gam = (n - 1.0) / (n - 2.0)
     kap = 1.0 / (n - 2.0)
     pref = (2.0 / (n - 2.0)) * v ** -beta
-    lam_rad, lam_tan = lam[:, 0], lam[:, 1]
 
     diag = np.zeros(m)
     upper = np.zeros(m)   # J[i, i+1] stored at upper[i]
@@ -510,15 +538,16 @@ def newton_solve(cfg, iterate_hook=None):
     res = residual(cfg, v, nodes=st)
     norm = float(np.max(np.abs(res)))
     margin_min = float(np.min(-margins))
-    history = [{"residual": norm, "damping": 1.0, "trials": 0, "step_norm": 0.0}]
+    history = [{"residual": norm, "damping": 1.0, "trials": 0, "step_norm": 0.0,
+                "rejected": []}]
     if iterate_hook is not None:
         iterate_hook(v.copy(), margins.copy())
 
-    def finish(converged, steps, message):
+    def finish(converged, steps, message, rejected=()):
         return SolveResult(n=cfg.n, r=r, v=v.copy(), v1=st.v1, v2=st.v2,
                            residual_norm=norm, margins=margins.copy(),
                            converged=converged, newton_steps=steps,
-                           history=history, message=message)
+                           history=history, message=message, rejected=list(rejected))
 
     for step in range(cfg.max_newton):
         if norm < cfg.residual_tol:
@@ -538,33 +567,38 @@ def newton_solve(cfg, iterate_hook=None):
         if not np.all(np.isfinite(delta)):
             raise NumericError("singular linearization: non-finite Newton step")
 
-        s, trials = 1.0, 0
+        s, rejected = 1.0, []
         while True:
-            trials += 1
             v_try = v + s * delta
-            ok = bool(np.all(v_try > 0.0))
-            if ok:
+            reason = None if np.all(v_try > 0.0) else "positivity"
+            if reason is None:
                 st_try = _nodes(cfg, v_try, r, st.phi)
                 m_try = admissibility_margins(cfg, v_try, nodes=st_try)
-                ok = bool(np.all(np.isfinite(m_try)) and np.all(m_try < 0.0))
-            if ok:
+                if not (np.all(np.isfinite(m_try)) and np.all(m_try < 0.0)):
+                    reason = "margin"
+            if reason is None:
                 mm_try = float(np.min(-m_try))
-                ok = mm_try >= MARGIN_RETENTION * margin_min
-            if ok:
+                if not mm_try >= MARGIN_RETENTION * margin_min:
+                    reason = "retention"
+            if reason is None:
                 res_try = residual(cfg, v_try, nodes=st_try)
                 norm_try = float(np.max(np.abs(res_try)))
-                ok = np.isfinite(norm_try) and norm_try < norm
-            if ok:
-                history.append({"residual": norm_try, "damping": s, "trials": trials,
-                                "step_norm": s * float(np.max(np.abs(delta)) / np.max(v))})
+                if not (np.isfinite(norm_try) and norm_try < norm):
+                    reason = "residual"
+            if reason is None:
+                history.append({"residual": norm_try, "damping": s,
+                                "trials": len(rejected) + 1,
+                                "step_norm": s * float(np.max(np.abs(delta)) / np.max(v)),
+                                "rejected": rejected})
                 v, res, norm, margins, margin_min, st = (v_try, res_try, norm_try, m_try,
                                                          mm_try, st_try)
                 if iterate_hook is not None:
                     iterate_hook(v.copy(), margins.copy())
                 break
+            rejected.append(reason)
             s *= 0.5
             if s < cfg.min_damping:
-                return finish(False, step, "damping underflow")
+                return finish(False, step, "damping underflow", rejected)
 
     converged = norm < cfg.residual_tol
     return finish(converged, cfg.max_newton,

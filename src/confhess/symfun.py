@@ -26,8 +26,18 @@ stable ranks of the entries (:func:`_poly.stable_ranks`).  The sigma_k
 families take every partial derivative from one prefix-suffix sweep of the
 product recurrence (:func:`_poly.elementary_sweep`), and ``InvMonomialSum``
 runs the complete homogeneous recurrence (:func:`_poly.complete_jets`).
+
+``two_valued(a, b)`` evaluates an operator on the two-valued tuples
+``(a, b, .., b)`` that a radial metric has at every point, without forming
+them: it returns the value ``f``, the partial ``f_a`` in the first entry and
+``f_b``, the sum of the other n-1 partials, which is the derivative along
+``(0, 1, .., 1)``.  The base class defines it by ``value`` and ``gradient`` on
+the built tuples; the catalog families override it with closed forms, the
+sigma_k families through Garding's factorisation
+``sigma_j(a, b^(n-1)) = C(n-1, j-1) b^(j-1) (a + (n-j) b / j)``.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -137,6 +147,15 @@ class CurvatureOperator:
         """Gradient plus a smoothness mask (False only at PucciMin ties)."""
         return self.gradient(lam), np.ones(np.asarray(lam).shape[:-1], dtype=bool)
 
+    def two_valued(self, a, b):
+        """``(f, f_a, f_b)`` at the tuples ``(a, b, .., b)``; see the class docstring."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        lam = np.empty(a.shape + (self.n,))
+        lam[..., 0] = a
+        lam[..., 1:] = b[..., None]
+        g = self.gradient(lam)
+        return self.value(lam), g[..., 0], _poly.reduce_columns(np.add, g[..., 1:])
+
     def hessian_quadform(self, lam, b):
         lam, b = np.broadcast_arrays(as_eigentuple(lam, self.n), np.asarray(b, dtype=float))
         with np.errstate(**_QUIET):
@@ -199,6 +218,36 @@ def _quotient_quadform(lam, b, k, l):
     return f * (((dk - dl) / (k - l)) ** 2 + d2 / (k - l))
 
 
+@np.errstate(**_QUIET)
+def _quotient_pair(n, k, l, a, b):
+    """``two_valued`` of ``(sigma_k / sigma_l)^(1/(k-l))``.
+
+    The value comes from Garding's factorisation ``sigma_j(a, b^(n-1)) =
+    C(n-1, j-1) b^(j-1) (a + (n-j) b / j)``.  In ``t = a/b`` it reads ``sigma_j =
+    c_j b^j P_j`` with ``P_j = j t + n - j`` and a constant ``c_j`` (also at j = 0,
+    with ``P_0 = n``), so ``log sigma_j`` has the derivatives ``j/(b P_j)`` in
+    ``a`` and ``(j/b) (1 - t/P_j)`` along ``(0, 1, .., 1)``.  Over k and l they
+    combine into one fraction,
+
+        f_a = n f / (b P_k P_l),
+        f_b = f (k l t^2 + (n (k+l-1) - 2 k l) t + (n-k)(n-l)) / (b P_k P_l),
+
+    whose coefficients are >= 0, so nothing cancels on the positive cone.
+    """
+    if k == 1:          # sigma_1 itself; its quotient rule f/f is NaN where sigma_1 = 0
+        f = a + (n - 1) * b
+        return f, f / f, (n - 1) * (f / f)
+
+    def sigma(j):       # the factorisation itself, which holds at b = 0 too
+        return math.comb(n - 1, j - 1) * b ** (j - 1) * (a + (n - j) * b / j)
+
+    f = np.power(sigma(k) / sigma(l) if l else sigma(k), 1.0 / (k - l))
+    t = a / b
+    p_k, p_l = k * t + (n - k), l * t + (n - l)
+    g = f / (b * p_k * p_l)
+    return f, n * g, g * ((k * l * t + (n * (k + l - 1) - 2 * k * l)) * t + (n - k) * (n - l))
+
+
 @dataclass(frozen=True)
 class SigmaKRoot(CurvatureOperator):
     """``f = sigma_k(lam)^(1/k)`` on the k-th Garding cone."""
@@ -234,6 +283,11 @@ class SigmaKRoot(CurvatureOperator):
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, 0)
+
+    def two_valued(self, a, b):
+        if self.k == 1:
+            return a + (self.n - 1) * b, np.ones_like(a), np.full_like(a, self.n - 1.0)
+        return _quotient_pair(self.n, self.k, 0, a, b)
 
 
 @dataclass(frozen=True)
@@ -281,6 +335,9 @@ class Quotient(CurvatureOperator):
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, self.l)
+
+    def two_valued(self, a, b):
+        return _quotient_pair(self.n, self.k, self.l, a, b)
 
 
 @dataclass(frozen=True)
@@ -348,6 +405,15 @@ class PucciMin(CurvatureOperator):
     def gradient_flagged(self, lam):
         return self.gradient(lam), self.is_smooth_at(lam)
 
+    @np.errstate(**_QUIET)
+    def two_valued(self, a, b):
+        # the k smallest entries are a and k-1 b's where a <= b (a tie goes to
+        # index 0) or k = n, else k b's
+        n, k, d = self.n, self.k, self.delta
+        first = (a <= b) | (k == n)
+        f = d * (a + (n - 1) * b) + np.where(first, a + (k - 1) * b, k * b)
+        return f, d + first, (n - 1) * d + (k - first)
+
     def _quadform(self, lam, b):
         # Locally linear where smooth; at ties report the directional
         # midpoint defect (f(lam+hb) + f(lam-hb))/2 - f(lam), scaled by h^-2,
@@ -397,6 +463,12 @@ class InvPowerSum(CurvatureOperator):
         c3 = _poly.reduce_columns(np.add, lam ** -3.0 * b)
         c4 = _poly.reduce_columns(np.add, lam ** -4.0 * b ** 2)
         return _checked(3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4)
+
+    @np.errstate(**_QUIET)
+    def two_valued(self, a, b):
+        s = a ** -2.0 + (self.n - 1) * b ** -2.0
+        c = s ** -1.5
+        return s ** -0.5, c * a ** -3.0, (self.n - 1) * c * b ** -3.0
 
 
 @dataclass(frozen=True)
@@ -458,6 +530,19 @@ class InvMonomialSum(CurvatureOperator):
         # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
         return _checked((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
                         - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
+
+    @np.errstate(**_QUIET)
+    def two_valued(self, a, b):
+        # h_k(x, y^(n-1)) = sum_i C(n-2+k-i, k-i) x^i y^(k-i) at x = 1/a, y = 1/b;
+        # with T_i its terms, x dh/dx = sum_i i T_i and y dh/dy = sum_i (k-i) T_i
+        n, k = self.n, self.k
+        x, y = 1.0 / a, 1.0 / b
+        h = hx = hy = 0.0
+        for i in range(k + 1):
+            t = math.comb(n - 2 + k - i, k - i) * x ** i * y ** (k - i)
+            h, hx, hy = h + t, hx + i * t, hy + (k - i) * t
+        pref = (1.0 / k) * np.power(h, -1.0 / k - 1.0)
+        return np.power(h, -1.0 / k), pref * x * hx, pref * y * hy
 
 
 @dataclass(frozen=True)
@@ -523,6 +608,15 @@ class Shifted(CurvatureOperator):
     def _quadform(self, lam, b):
         mb = b + (self.delta * _poly.reduce_columns(np.add, b))[..., None]
         return self.inner.hessian_quadform(self._shift(lam), mb)
+
+    @np.errstate(**_QUIET)
+    def two_valued(self, a, b):
+        # each partial gains delta times the sum of the inner partials
+        n, d = self.n, self.delta
+        shift = d * (a + (n - 1) * b)
+        f, g_a, g_b = self.inner.two_valued(a + shift, b + shift)
+        s = d * (g_a + g_b)
+        return f, g_a + s, g_b + (n - 1) * s
 
 
 @dataclass(frozen=True)

@@ -556,6 +556,17 @@ def test_trace_shift_overflow_is_a_numeric_failure(capsys):
             assert err.startswith("numeric failure:"), (command, op)
 
 
+def test_schouten_eigenvalues_out_of_float_range_are_a_numeric_failure(capsys):
+    # v^(-(n+2)/(n-2)) overflows at this scale: once printed -inf,inf,inf,inf with exit 0
+    for command in ("schouten", "kelvin"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--profile", "bubble:scale=1e-300",
+                                 "--n", "4", "--x=1,0,0,0")
+        assert code == 2 and out == "", command
+        assert err.startswith("numeric failure:") and "float range" in err, command
+
+
 # ---------------------------------------------------------------------------
 # Property tests: every eval/grad/cone/axioms call, and every solve of a config
 # document, ends with a documented exit code

@@ -146,7 +146,8 @@ def two_valued_margins(n, k, a, b):
     cone = cones.GammaK(n, k)
     cfg = rs.SolverConfig(operator=symfun.SigmaKRoot(n=n, k=1), domain=(0.1, 2.0), grid=16,
                           rhs=1.0, boundary_left=1.0, boundary_right=1.0, cone=cone)
-    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam=lam, phi=None)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1],
+                      phi=None)
     return rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes), cones.boundary_shift(cone, lam)
 
 
@@ -187,7 +188,8 @@ def test_margins_of_non_finite_node_tuples_are_nan(cone):
     cfg = bubble_cfg(cone=cones.parse_cone(cone, N_DIM))
     lam = np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [-np.inf, np.inf], [2.0, 1.0]])
     lam = np.repeat(lam, [1, N_DIM - 1], axis=1)
-    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam=lam, phi=None)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1],
+                      phi=None)
     with np.errstate(all="raise"):
         out = rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes)
     assert np.all(np.isnan(out[:-1])) and out[-1] < 0.0
@@ -212,11 +214,32 @@ def test_newton_makes_one_node_pass_per_trial(monkeypatch, grid):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(rs, name, counted)
+    eigs = []
+    monkeypatch.setattr(cf, "radial_jet_eigs",
+                        lambda *args, _fn=cf.radial_jet_eigs: eigs.append(1) or _fn(*args))
     out = rs.newton_solve(bubble_cfg(grid=grid))
     assert out.message == "converged"
     assert calls["jacobian"] == out.newton_steps
     assert calls["admissibility_margins"] == 1 + sum(h["trials"] for h in out.history)
     assert calls["node_eigentuples"] <= calls["admissibility_margins"]
+    assert len(eigs) == calls["admissibility_margins"]
+
+
+@pytest.mark.parametrize("op_text", ["sigma-root:k=2", "quotient:k=2,l=1", "inv-power",
+                                     "ricci:inner=sigma-root:k=2"])
+def test_newton_stays_on_the_two_valued_pair_path(monkeypatch, op_text):
+    # residual and Jacobian read the operator's closed form on (lam_rad, lam_tan);
+    # the sorted (m, n) path of value and gradient is never taken
+    calls = []
+    for name in ("value", "gradient"):
+        monkeypatch.setattr(symfun.CurvatureOperator, name,
+                            lambda self, lam, _fn=getattr(symfun.CurvatureOperator, name),
+                            _name=name: calls.append(_name) or _fn(self, lam))
+    cfg = bubble_cfg(grid=64, operator=symfun.parse_operator(op_text, N_DIM))
+    calls.clear()
+    out = rs.newton_solve(cfg)
+    assert out.newton_steps > 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,23 @@ def test_newton_reports_damping_underflow_instead_of_spurious_root():
     assert not out.converged
     assert out.message == "damping underflow"
     assert len(out.history) >= 2
+
+
+def test_history_and_result_record_why_trials_were_rejected():
+    # the grid-128 stall at amplitude 0.08: every trial of its last search
+    # leaves the cone at the Dirichlet node 0
+    out = rs.newton_solve(bubble_cfg(grid=128, sin_amplitude=0.08))
+    assert (out.message, out.newton_steps) == ("damping underflow", 13)
+    assert out.residual_norm == pytest.approx(2.18, abs=0.005)
+    assert out.rejected == ["margin"] * 21
+    assert out.to_dict()["rejected"] == out.rejected
+    assert out.history[0]["rejected"] == []
+    reasons = {"positivity", "margin", "retention", "residual"}
+    for h in out.history[1:]:
+        assert len(h["rejected"]) == h["trials"] - 1 and set(h["rejected"]) <= reasons
+    done = rs.newton_solve(bubble_cfg(grid=256))
+    assert done.converged and done.rejected == []
+    assert {r for h in done.history for r in h["rejected"]} == {"margin", "residual"}
 
 
 def test_newton_inversion_data_geometric_init_is_inadmissible():

@@ -491,6 +491,79 @@ def test_tied_entries_get_bitwise_equal_gradients(data):
     assert np.all(same[keep] | ~tie[keep]), spec.descriptor()
 
 
+@st.composite
+def nested_operators(draw, n):
+    """A catalog family at dimension n inside up to two trace shifts."""
+    op = draw(quadform_operators(n))
+    if draw(st.booleans()):
+        return op
+    if draw(st.booleans()):
+        return symfun.RicciComposite(n=n, inner=op)
+    return symfun.Shifted(n=n, inner=op, delta=draw(st.floats(0.01, 2.0)))
+
+
+def two_valued_rows(rng, size):
+    """Rows ``(a, b)`` of four kinds in equal shares: 0 < a < b, a > b > 0, a == b > 0
+    and a < 0 < b, with |a| / b in [1/16, 16] and each row scaled by 2^-60 .. 2^60;
+    then four rows with zeros, where most families have no finite gradient."""
+    b = rng.uniform(1.0, 2.0, size)
+    kind = np.arange(size) % 4
+    t = np.exp2(np.where(kind == 3, rng.uniform(-4.0, 4.0, size), rng.uniform(0.0, 4.0, size)))
+    a = b * np.select([kind == 0, kind == 1, kind == 2], [1.0 / t, t, 1.0], -t)
+    p = rng.integers(-60, 61, size)
+    return (np.append(np.ldexp(a, p), [0.0, 0.0, 1.0, -1.0]),
+            np.append(np.ldexp(b, p), [0.0, 1.0, 0.0, 0.0]))
+
+
+def two_valued_definition(spec, a, b):
+    return symfun.CurvatureOperator.two_valued(spec, a, b)
+
+
+def two_valued_scales(spec, a, b, h=2.0 ** -26):
+    """Per output F of the definition, the scale its rounding is measured in: the
+    change of F under relative perturbations h of a and of b, over h, plus |F|
+    times 1 + the value's condition number (its relative change, over h).  Near a
+    cancellation, in a value close to 0 or a row close to the boundary of a cone,
+    either route's rounding grows with this scale.  Rows within h of a domain
+    edge, where a perturbed F is NaN, get inf."""
+    ref = two_valued_definition(spec, a, b)
+    da = two_valued_definition(spec, a * (1.0 + h), b)
+    db = two_valued_definition(spec, a, b * (1.0 + h))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        change = [(np.abs(ya - y) + np.abs(yb - y)) / h for y, ya, yb in zip(ref, da, db)]
+        cond = change[0] / np.abs(ref[0])
+        scales = [np.abs(y) * (1.0 + cond) + c for y, c in zip(ref, change)]
+    return [np.where(np.isnan(s), np.inf, s) for s in scales]
+
+
+#: Tolerance of the closed forms of two_valued against the definition, relative to
+#: the scales of two_valued_scales: 4 x the worst case seen over 10^4 draws of this
+#: test's operators and rows, which was 9.1e-15 (the rounded exponents of
+#: the roots, about |log sigma_k| eps, at 2^60).
+TWO_VALUED_TOL = 4 * 9.1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_two_valued_closed_forms_match_the_definition(data):
+    n = data.draw(st.integers(3, 8))
+    spec = data.draw(nested_operators(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = two_valued_rows(rng, 64)
+    got = spec.two_valued(a, b)
+    want = two_valued_definition(spec, a, b)
+    assert all(x.shape == y.shape == a.shape for x, y in zip(got, want)), spec.descriptor()
+    # a row is finite where all three outputs are; either both sides are, or neither
+    ok = np.all(np.isfinite(want), axis=0)
+    assert np.array_equal(np.all(np.isfinite(got), axis=0), ok), spec.descriptor()
+    for x, y, s in zip(got, want, two_valued_scales(spec, a, b)):
+        assert np.all(np.abs(x - y)[ok] <= TWO_VALUED_TOL * s[ok]), spec.descriptor()
+    if isinstance(spec, symfun.PucciMin):
+        # at a tie the k smallest entries start at index 0: the same subgradient
+        tie = a == b
+        assert np.array_equal(got[1][tie], want[1][tie]), spec.descriptor()
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_values_and_gradients_are_bitwise_symmetric_in_any_layout(n):
     # every catalog operator, C- and F-ordered inputs, random column
