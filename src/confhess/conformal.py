@@ -77,6 +77,7 @@ class SphereBackground:
             raise DomainError(f"dimension n={self.n} must be >= 3")
         if self.radius <= 0:
             raise DomainError(f"sphere radius must be positive, got {self.radius}")
+        _float_power(self.radius, 2, f"sphere radius {self.radius:g}")
 
     @property
     def schouten_scale(self):
@@ -93,7 +94,16 @@ class SphereBackground:
     def conformal_factor_profile(self):
         """The sphere metric as a V-gauge factor over flat space."""
         base = bubble_profile(self.n, scale=self.radius)
-        return scale_profile(base, (2.0 * self.radius) ** ((self.n - 2) / 2.0))
+        return scale_profile(base, _float_power(2.0 * self.radius, (self.n - 2) / 2.0,
+                                                f"sphere radius {self.radius:g}"))
+
+
+def _float_power(x, p, what):
+    """``x ** p`` of Python floats, whose overflow raises: :class:`NumericError`."""
+    try:
+        return x ** p
+    except OverflowError:
+        raise NumericError(f"{what} leaves the float range") from None
 
 
 def _default_background(n, background):
@@ -419,18 +429,18 @@ def bubble_profile(n, scale=1.0, center=None, gauge="v", background=None):
         raise DomainError(f"bubble scale must be positive, got {scale}")
     eps = float(scale)
     m = (n - 2) / 2.0
-    c = eps ** m
+    c, eps2 = (_float_power(eps, p, f"bubble scale {scale:g}") for p in (m, 2))
 
     def fun(s):
-        return c * (eps ** 2 + np.asarray(s, dtype=float) ** 2) ** (-m)
+        return c * (eps2 + np.asarray(s, dtype=float) ** 2) ** (-m)
 
     def d1(s):
         s = np.asarray(s, dtype=float)
-        return c * (-m) * (eps ** 2 + s ** 2) ** (-m - 1) * 2.0 * s
+        return c * (-m) * (eps2 + s ** 2) ** (-m - 1) * 2.0 * s
 
     def d2(s):
         s = np.asarray(s, dtype=float)
-        q = eps ** 2 + s ** 2
+        q = eps2 + s ** 2
         return c * (-2.0 * m * q ** (-m - 1) + 4.0 * m * (m + 1) * s ** 2 * q ** (-m - 2))
 
     return RadialProfile(fun, d1, d2, n, gauge=gauge, background=background,

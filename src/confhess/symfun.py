@@ -3,8 +3,9 @@
 The catalog covers the operator families commonly used for fully nonlinear
 conformal curvature equations:
 
-* ``SigmaKRoot``      -- ``sigma_k(lam)^(1/k)``;
 * ``Quotient``        -- ``(sigma_k / sigma_l)^(1/(k-l))``;
+* ``SigmaKRoot``      -- ``sigma_k(lam)^(1/k)``, the Quotient instance with
+  ``l = 0`` (``sigma_0 = 1``);
 * ``PucciMin``        -- ``delta * sum(lam) + min over k-subsets of subset sums``;
 * ``InvPowerSum``     -- ``(sum lam_i^-2)^(-1/2)``;
 * ``InvMonomialSum``  -- ``[sum over |a| = k of lam^-a]^(-1/k)``;
@@ -17,15 +18,18 @@ strictly positive gradient, is concave, permutation symmetric, and positively
 homogeneous of degree ``alpha`` (degree 1 throughout this catalog).
 :func:`verify_axioms` spot-checks all of these on random cone samples.
 
-Evaluation sorts the tuple first, by a comparator network on the columns
-(:func:`_poly.sort_rows`), and every row reduction runs over the columns
-(:func:`_poly.reduce_columns`), so values and gradients are bitwise
-permutation symmetric and independent of the memory layout of the input.
-Gradients are computed on the sorted rows and gathered back through the
-stable ranks of the entries (:func:`_poly.stable_ranks`).  The sigma_k
-families take every partial derivative from one prefix-suffix sweep of the
-product recurrence (:func:`_poly.elementary_sweep`), and ``InvMonomialSum``
-runs the complete homogeneous recurrence (:func:`_poly.complete_jets`).
+A family supplies formulas only, as the hooks of :class:`CurvatureOperator`;
+the base class sorts the tuples, hands them to the hooks in row blocks,
+rescues rows whose intermediates leave the float range, scatters gradients
+back, and reports where f is smooth (``is_smooth_at``).  Sorting is a
+comparator network on the columns (:func:`_poly.sort_rows`), and every row
+reduction runs over the columns (:func:`_poly.reduce_columns`), so values and
+gradients are bitwise permutation symmetric and independent of the memory
+layout of the input.  Gradients are gathered back through the stable ranks of
+the entries (:func:`_poly.stable_ranks`).  The sigma_k families take every
+partial derivative from one prefix-suffix sweep of the product recurrence
+(:func:`_poly.elementary_sweep`), and ``InvMonomialSum`` runs the complete
+homogeneous recurrence (:func:`_poly.complete_jets`).
 
 ``two_valued(a, b)`` evaluates an operator on the two-valued tuples
 ``(a, b, .., b)`` that a radial metric has at every point, without forming
@@ -111,18 +115,27 @@ def _scatter(values_sorted, rank):
 class CurvatureOperator:
     """Shared behaviour for the operator catalog.
 
-    Subclasses implement ``_value_sorted`` / ``_gradient_sorted`` on
-    ascending-sorted tuples and ``_quadform(lam, b)`` on unsorted ones.
-    ``_quadform`` returns ``d2/dt2 f(lam + t b)`` at ``t = 0`` in ``O(n k)``
-    per tuple without forming the ``n x n`` Hessian: the sigma_k families
-    apply the chain rule to the second-order Taylor jets of
-    :func:`_poly.elementary_jet`, ``InvMonomialSum`` runs its complete
-    homogeneous recurrence on jets, ``InvPowerSum`` has a closed form and
-    ``PucciMin`` reports its midpoint defect at ties.  ``Shifted`` passes
-    the shifted direction to its inner operator.  ``value`` and
-    ``gradient`` evaluate the raw formulas wherever they make sense (NaN
-    where they do not) and leave cone gating to :func:`eval_op` /
-    :func:`grad_op`.
+    A family implements three formulas on ``(rows, n)`` blocks:
+
+    * ``_value_sorted(ls)``, f on ascending-sorted rows;
+    * ``_gradient_sorted(ls) -> (out, checks)``, the gradient on sorted rows;
+    * ``_quadform(lam, b) -> (out, checks)``, ``d2/dt2 f(lam + t b)`` at
+      ``t = 0`` on unsorted rows, in ``O(n k)`` per row without forming the
+      ``n x n`` Hessian: the sigma_k families apply the chain rule to the
+      second-order Taylor jets of :func:`_poly.elementary_jet`,
+      ``InvMonomialSum`` runs its complete homogeneous recurrence on jets,
+      ``InvPowerSum`` has a closed form and ``PucciMin`` reports its midpoint
+      defect at ties.
+
+    ``checks`` are the intermediates that must stay normal numbers (an empty
+    tuple where nothing can leave the float range).  The base class sorts,
+    splits batches into row blocks, evaluates rows with a failed check again
+    on rows scaled by a power of two (:func:`_rescaled`), and scatters
+    gradients back to the entries' positions; ``is_smooth_at`` is True
+    unless a family overrides it.  ``Shifted`` runs its inner operator's
+    hooks on the shifted rows.  ``value`` and ``gradient`` evaluate the raw
+    formulas wherever they make sense (NaN where they do not) and leave cone
+    gating to :func:`eval_op` / :func:`grad_op`.
     """
 
     #: Degree of positive homogeneity; 1 throughout the catalog.
@@ -138,14 +151,15 @@ class CurvatureOperator:
 
         def block(x):
             ls, rank = _sort_with_order(x)
-            return _scatter(self._gradient_sorted(ls), rank)
+            return _scatter(_rescaled(self._gradient_sorted, 0, ls), rank)
 
         with np.errstate(**_QUIET):
             return _poly._by_row_blocks(block, lam)
 
-    def gradient_flagged(self, lam):
-        """Gradient plus a smoothness mask (False only at PucciMin ties)."""
-        return self.gradient(lam), np.ones(np.asarray(lam).shape[:-1], dtype=bool)
+    def is_smooth_at(self, lam):
+        """False where f is not differentiable at ``lam`` and its gradient is one
+        subgradient selection (PucciMin ties, also under a trace shift)."""
+        return np.ones(np.shape(lam)[:-1], dtype=bool)
 
     def two_valued(self, a, b):
         """``(f, f_a, f_b)`` at the tuples ``(a, b, .., b)``; see the class docstring."""
@@ -159,7 +173,7 @@ class CurvatureOperator:
     def hessian_quadform(self, lam, b):
         lam, b = np.broadcast_arrays(as_eigentuple(lam, self.n), np.asarray(b, dtype=float))
         with np.errstate(**_QUIET):
-            return _poly._by_row_blocks(self._quadform, lam, b)
+            return _poly._by_row_blocks(lambda x, y: _rescaled(self._quadform, -1, x, y), lam, b)
 
     def admissible(self, lam):
         return cones.cone_contains(self.cone, lam)
@@ -199,11 +213,6 @@ def _rescaled(fn, degree, lam, *rest):
     return out.reshape(lam.shape[:-1] + out.shape[1:])[()]
 
 
-def _checked(out):
-    """``(out, checks)`` for :func:`_rescaled` that check ``out`` itself."""
-    return out, (out,)
-
-
 def _quotient_quadform(lam, b, k, l):
     """``d2/dt2 f(lam + t b)`` at ``t = 0`` for ``f = (sigma_k / sigma_l)^(1/(k-l))``.
 
@@ -234,9 +243,9 @@ def _quotient_pair(n, k, l, a, b):
 
     whose coefficients are >= 0, so nothing cancels on the positive cone.
     """
-    if k == 1:          # sigma_1 itself; its quotient rule f/f is NaN where sigma_1 = 0
+    if k == 1:          # sigma_1 itself, whose partials are exactly 1
         f = a + (n - 1) * b
-        return f, f / f, (n - 1) * (f / f)
+        return f, np.ones_like(f), np.full_like(f, n - 1.0)
 
     def sigma(j):       # the factorisation itself, which holds at b = 0 too
         return math.comb(n - 1, j - 1) * b ** (j - 1) * (a + (n - j) * b / j)
@@ -246,48 +255,6 @@ def _quotient_pair(n, k, l, a, b):
     p_k, p_l = k * t + (n - k), l * t + (n - l)
     g = f / (b * p_k * p_l)
     return f, n * g, g * ((k * l * t + (n * (k + l - 1) - 2 * k * l)) * t + (n - k) * (n - l))
-
-
-@dataclass(frozen=True)
-class SigmaKRoot(CurvatureOperator):
-    """``f = sigma_k(lam)^(1/k)`` on the k-th Garding cone."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"SigmaKRoot requires 1 <= k <= n, got k={self.k}, n={self.n}")
-        cones._check_dim(self.n)
-
-    @property
-    def cone(self):
-        return cones.GammaK(self.n, self.k)
-
-    def descriptor(self):
-        return f"sigma-root:k={self.k}"
-
-    def _value_sorted(self, ls):
-        return np.power(_poly.sigma(ls, self.k), 1.0 / self.k)
-
-    def _gradient_sorted(self, ls):
-        if self.k == 1:
-            return np.ones_like(ls)
-        return _rescaled(self._raw_gradient, 0, ls)
-
-    def _raw_gradient(self, ls):
-        e, (partial,) = _poly.elementary_sweep(ls, self.k, (self.k - 1,))
-        s = e[..., self.k]
-        pref = (1.0 / self.k) * np.power(s, 1.0 / self.k - 1.0)
-        return pref[..., None] * partial, (s,)
-
-    def _quadform(self, lam, b):
-        return _quotient_quadform(lam, b, self.k, 0)
-
-    def two_valued(self, a, b):
-        if self.k == 1:
-            return a + (self.n - 1) * b, np.ones_like(a), np.full_like(a, self.n - 1.0)
-        return _quotient_pair(self.n, self.k, 0, a, b)
 
 
 @dataclass(frozen=True)
@@ -311,20 +278,14 @@ class Quotient(CurvatureOperator):
     def descriptor(self):
         return f"quotient:k={self.k},l={self.l}"
 
-    def _sigmas(self, ls):
-        e = _poly.elementary_all(ls, self.k)
-        sl = e[..., self.l] if self.l > 0 else np.ones(ls.shape[:-1])
-        return e[..., self.k], sl
-
     def _value_sorted(self, ls):
-        sk, sl = self._sigmas(ls)
-        return np.power(sk / sl, 1.0 / (self.k - self.l))
+        e = _poly.elementary_all(ls, self.k)
+        return np.power(e[..., self.k] / e[..., self.l], 1.0 / (self.k - self.l))
 
     def _gradient_sorted(self, ls):
-        return _rescaled(self._raw_gradient, 0, ls)
-
-    def _raw_gradient(self, ls):
         k, l = self.k, self.l
+        if k == 1:          # sigma_1 itself, whose partials are exactly 1
+            return np.ones_like(ls), ()
         e, partials = _poly.elementary_sweep(ls, k, (k - 1, l - 1) if l else (k - 1,))
         sk, sl = e[..., k], e[..., l]
         f = np.power(sk / sl, 1.0 / (k - l))
@@ -334,10 +295,27 @@ class Quotient(CurvatureOperator):
         return (f / (k - l))[..., None] * ratio, (sk, sl)
 
     def _quadform(self, lam, b):
-        return _quotient_quadform(lam, b, self.k, self.l)
+        return _quotient_quadform(lam, b, self.k, self.l), ()
 
     def two_valued(self, a, b):
         return _quotient_pair(self.n, self.k, self.l, a, b)
+
+
+@dataclass(frozen=True)
+class SigmaKRoot(Quotient):
+    """``f = sigma_k(lam)^(1/k)`` on the k-th Garding cone: the :class:`Quotient`
+    instance with ``l = 0``, since ``sigma_0 = 1``."""
+
+    l: int = field(init=False)
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise DomainError(f"SigmaKRoot requires 1 <= k <= n, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "l", 0)
+        super().__post_init__()
+
+    def descriptor(self):
+        return f"sigma-root:k={self.k}"
 
 
 @dataclass(frozen=True)
@@ -386,7 +364,7 @@ class PucciMin(CurvatureOperator):
     def _gradient_sorted(self, ls):
         g = np.full_like(ls, self.delta)
         g[..., :self.k] += 1.0
-        return g
+        return g, ()
 
     def is_smooth_at(self, lam):
         """False where the two smallest k-subset sums are tied within tolerance."""
@@ -401,9 +379,6 @@ class PucciMin(CurvatureOperator):
     def _tie_margin(self, ls):
         f = self._value_sorted(ls)
         return ls[..., self.k] - ls[..., self.k - 1] - PUCCI_TIE_TOL * np.abs(f), (f,)
-
-    def gradient_flagged(self, lam):
-        return self.gradient(lam), self.is_smooth_at(lam)
 
     @np.errstate(**_QUIET)
     def two_valued(self, a, b):
@@ -422,7 +397,7 @@ class PucciMin(CurvatureOperator):
         tied = ~self.is_smooth_at(lam)
         out = np.zeros(lam.shape[:-1])
         out[tied] = self._quadform_fd(lam[tied], b[tied])
-        return out
+        return out, ()
 
 
 @dataclass(frozen=True)
@@ -444,25 +419,19 @@ class InvPowerSum(CurvatureOperator):
     def _value_sorted(self, ls):
         return _poly.reduce_columns(np.add, ls ** -2.0) ** -0.5
 
-    # lam^-2 .. lam^-4 leave the float range far from unit scale, so rows with a
-    # non-finite, 0 or subnormal result are evaluated again on rows scaled by 2^-p
+    # lam^-2 .. lam^-4 leave the float range far from unit scale, so the results
+    # themselves are checked
     def _gradient_sorted(self, ls):
-        return _rescaled(self._raw_gradient, 0, ls)
-
-    @staticmethod
-    def _raw_gradient(ls):
         s = _poly.reduce_columns(np.add, ls ** -2.0)
-        return _checked(s[..., None] ** -1.5 * ls ** -3.0)
+        out = s[..., None] ** -1.5 * ls ** -3.0
+        return out, (out,)
 
     def _quadform(self, lam, b):
-        return _rescaled(self._raw_quadform, -1, lam, b)
-
-    @staticmethod
-    def _raw_quadform(lam, b):
         s = _poly.reduce_columns(np.add, lam ** -2.0)
         c3 = _poly.reduce_columns(np.add, lam ** -3.0 * b)
         c4 = _poly.reduce_columns(np.add, lam ** -4.0 * b ** 2)
-        return _checked(3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4)
+        out = 3.0 * s ** -2.5 * c3 ** 2 - 3.0 * s ** -1.5 * c4
+        return out, (out,)
 
     @np.errstate(**_QUIET)
     def two_valued(self, a, b):
@@ -499,12 +468,9 @@ class InvMonomialSum(CurvatureOperator):
         h = _poly.complete_jets((1.0 / ls)[None], self.k)[0, ..., self.k]
         return np.power(h, -1.0 / self.k)
 
-    # h_k(1/lam) leaves the float range far from unit scale, so rows with a non-finite,
-    # 0 or subnormal result or prefactor are evaluated again on rows scaled by 2^-p
+    # h_k(1/lam) leaves the float range far from unit scale, so the results and
+    # the prefactor are checked
     def _gradient_sorted(self, ls):
-        return _rescaled(self._raw_gradient, 0, ls)
-
-    def _raw_gradient(self, ls):
         k = self.k
         x = 1.0 / ls
         h = _poly.complete_jets(x[None], k)[0]
@@ -519,17 +485,15 @@ class InvMonomialSum(CurvatureOperator):
         return out, (out, pref)
 
     def _quadform(self, lam, b):
-        return _rescaled(self._raw_quadform, -1, lam, b)
-
-    def _raw_quadform(self, lam, b):
         # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3)
         k = self.k
         x = 1.0 / lam
         h0, h1, h2 = _poly.complete_jets(np.stack(np.broadcast_arrays(
             x, -b * x ** 2, b ** 2 * x ** 3)), k)[..., k]
         # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
-        return _checked((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
-                        - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
+        out = ((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
+               - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
+        return out, (out,)
 
     @np.errstate(**_QUIET)
     def two_valued(self, a, b):
@@ -597,17 +561,23 @@ class Shifted(CurvatureOperator):
         return np.maximum(-total / self.n, t)
 
     # Adding one scalar per row keeps a sorted row sorted (rounding is
-    # monotone), so the inner operator runs on the shifted row as it is.
+    # monotone), so the inner operator runs on the shifted row as it is.  Its
+    # rows are rescued shifted: a huge delta overflows the inner intermediates
+    # at any scale of the unshifted row.
     def _value_sorted(self, ls):
         return self.inner._value_sorted(self._shift(ls))
 
     def _gradient_sorted(self, ls):
-        g1 = self.inner._gradient_sorted(self._shift(ls))
-        return g1 + (self.delta * _poly.reduce_columns(np.add, g1))[..., None]
+        g1 = _rescaled(self.inner._gradient_sorted, 0, self._shift(ls))
+        return g1 + (self.delta * _poly.reduce_columns(np.add, g1))[..., None], ()
 
     def _quadform(self, lam, b):
         mb = b + (self.delta * _poly.reduce_columns(np.add, b))[..., None]
-        return self.inner.hessian_quadform(self._shift(lam), mb)
+        return self.inner.hessian_quadform(self._shift(lam), mb), ()
+
+    @np.errstate(**_QUIET)
+    def is_smooth_at(self, lam):
+        return self.inner.is_smooth_at(self._shift(np.asarray(lam, dtype=float)))
 
     @np.errstate(**_QUIET)
     def two_valued(self, a, b):
@@ -672,15 +642,14 @@ def eval_op(spec, lam):
 def grad_op(spec, lam, return_smooth=False):
     """Analytic gradient of ``spec`` at an interior point of its cone.
 
-    With ``return_smooth=True`` also returns a boolean mask that is False at
-    non-smooth points (tied PucciMin subsets), where the returned vector is
-    one subgradient selection.
+    With ``return_smooth=True`` also returns the boolean mask
+    ``spec.is_smooth_at(lam)``, False at non-smooth points (tied PucciMin
+    subsets, also under a trace shift), where the returned vector is one
+    subgradient selection.
     """
     lam = _admitted(spec, lam)
-    if return_smooth:
-        grad, smooth = spec.gradient_flagged(lam)
-        return _finite(spec, grad), smooth
-    return _finite(spec, spec.gradient(lam))
+    grad = _finite(spec, spec.gradient(lam))
+    return (grad, spec.is_smooth_at(lam)) if return_smooth else grad
 
 
 def concavity_quadform(spec, lam, b):

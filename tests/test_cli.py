@@ -567,6 +567,23 @@ def test_schouten_eigenvalues_out_of_float_range_are_a_numeric_failure(capsys):
         assert err.startswith("numeric failure:") and "float range" in err, command
 
 
+def test_huge_bubble_and_sphere_scales_are_a_numeric_failure(capsys):
+    # scale^2 and a^2 overflow a Python float: once an OverflowError traceback
+    point = ("--n", "4", "--x=1,0,0,0")
+    cases = [(cmd, "--profile", f"bubble:scale={scale}") + point
+             for cmd in ("schouten", "kelvin") for scale in ("1e155", "1e200", "1e300")]
+    cases += [("monitor", "--profile", "bubble:scale=1e200", "--n", "4", "--radius", "1"),
+              ("bishop-gromov", "--profile", "bubble:scale=1e200", "--n", "4",
+               "--radii", "0.5"),
+              ("schouten", "--profile", "const:c=1", "--background", "sphere:a=1e200") + point]
+    for argv in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("numeric failure:") and "float range" in err, argv
+
+
 # ---------------------------------------------------------------------------
 # Property tests: every eval/grad/cone/axioms call, and every solve of a config
 # document, ends with a documented exit code

@@ -108,6 +108,24 @@ def test_ricci_map_examples():
 def test_gradient_sigma1_is_ones():
     g = symfun.grad_op(symfun.SigmaKRoot(n=4, k=1), [0.3, 1.0, -0.1, 2.0])
     assert np.array_equal(g, np.ones(4))
+    # sigma-root:k=1 is quotient:k=1,l=0, whose quotient rule f (1/f) rounds on
+    # two of these rows; both take sigma_1's exact partials
+    lam = np.random.default_rng(1).uniform(0.1, 3.0, (8, 4))
+    for spec in (symfun.SigmaKRoot(n=4, k=1), symfun.Quotient(n=4, k=1, l=0)):
+        assert np.array_equal(symfun.grad_op(spec, lam), np.ones((8, 4))), spec
+        _, f_a, f_b = spec.two_valued(lam[:, 0], lam[:, 1])
+        assert np.array_equal(f_a, np.ones(8)) and np.array_equal(f_b, np.full(8, 3.0)), spec
+
+
+def test_smoothness_flag_sees_pucci_ties_under_a_trace_shift():
+    # (1, 1, 2) shifts to a tie of the smallest entries, where the gradient
+    # jumps between (1.5, 0.5, 0.5) and (0.5, 1.5, 0.5); (1, 2, 3) does not
+    pucci = symfun.PucciMin(n=3, k=1, delta=0.0)
+    for spec in (symfun.Shifted(n=3, inner=pucci, delta=0.5),
+                 symfun.RicciComposite(n=3, inner=pucci)):
+        _, smooth = symfun.grad_op(spec, [[1.0, 1.0, 2.0], [1.0, 2.0, 3.0]],
+                                   return_smooth=True)
+        assert smooth.tolist() == [False, True], spec.descriptor()
 
 
 def test_gradient_symmetric_point():
@@ -126,7 +144,7 @@ def test_gradient_rescales_only_rows_whose_sigmas_leave_the_float_range():
     lam = np.array([[1.0, 2.0, 3.0], [1e200, 1e200, 1e200], [1e-300, 2e-300, 3e-300]])
     for spec in (symfun.SigmaKRoot(n=3, k=2), symfun.Quotient(n=3, k=2, l=1)):
         g = spec.gradient(lam)
-        assert np.array_equal(g[0], spec._raw_gradient(lam[:1])[0][0]), spec
+        assert np.array_equal(g[0], spec._gradient_sorted(lam[:1])[0][0]), spec
         assert np.all(np.isfinite(g) & (g > 0.0)), spec
         assert np.allclose(g[2], g[0], rtol=1e-14, atol=0.0), spec
     assert np.allclose(symfun.SigmaKRoot(n=3, k=2).gradient(lam[1]), 3 ** -0.5,
