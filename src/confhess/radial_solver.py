@@ -14,22 +14,27 @@ the eigenvalues).  Boundary rows carry Dirichlet values; at ``r0 = 0`` a
 symmetry condition (ghost node ``v[-1] = v[1]``) replaces the left value.
 
 Newton steps use the analytic operator gradient chain-ruled through the
-stencil, a banded direct solve, and a backtracking line search that accepts
-a step only if every node stays strictly inside the admissibility cone with
-at least 10% of the previous margin and the residual max-norm decreases.
-The operator degenerates on the cone boundary, so losing the margin stalls
-Newton; damping protects against that.  Each accepted step's history entry
-lists why its rejected trials failed, in order: ``"positivity"`` (a node
-value <= 0), ``"margin"`` (a node outside the cone), ``"retention"`` (under
-10% of the previous margin) or ``"residual"`` (no decrease); a solve that
-ends in damping underflow keeps the reasons of its last search in
+stencil, a tridiagonal direct solve, and a backtracking line search that
+halves the damping until a trial keeps every node strictly inside the
+admissibility cone with at least 10% of the previous margin and lowers the
+residual's 2-norm.  The max-norm can rise at one node while the iterate
+still approaches the root, so a decrease test on it creeps along at small
+damping; the history's ``residual`` and both stopping tests (``residual_tol``
+and the rounding floor) stay on the max-norm.  The operator degenerates on
+the cone boundary, so losing the margin stalls Newton; damping protects
+against that.  Each accepted step's history entry lists why its rejected
+trials failed, in order: ``"positivity"`` (a node value <= 0), ``"margin"``
+(a node outside the cone), ``"retention"`` (under 10% of the previous
+margin) or ``"residual"`` (no decrease of the 2-norm); a solve that ends in
+damping underflow keeps the reasons of its last search in
 :attr:`SolveResult.rejected`.
 
 Each line-search trial makes one pass over the nodes: the stencil and the
 radial and tangential eigenvalues of the trial profile, held in a private
 node state together with the nodes and phi values, which are computed once
 per solve.  The trial's margins and residual read that state, and on
-acceptance so do the Jacobian and the final report.  Node tuples are
+acceptance so do the Jacobian, which reads the operator's value and partials
+that the residual left there, and the final report.  Node tuples are
 two-valued, ``(a, b, .., b)``, so the residual and the Jacobian take the
 operator's value and partials from its closed form on such tuples
 (:meth:`symfun.CurvatureOperator.two_valued`), and a Gamma_k margin needs no
@@ -51,7 +56,6 @@ import dataclasses
 import json
 import math
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -374,9 +378,12 @@ def node_eigentuples(cfg, v, *, jet=None):
 
 
 #: One pass over the nodes of a profile: the stencil's ``(r, h, v1, v2)``, the
-#: radial and tangential eigenvalues, and the solve's phi values (None until
-#: they are needed).
-_Nodes = namedtuple("_Nodes", "r h v1 v2 lam_rad lam_tan phi")
+#: radial and tangential eigenvalues, the solve's phi values (None until they are
+#: needed) and the operator's ``two_valued`` triple ``(f, f_a, f_b)`` there, which
+#: :func:`residual` computes and :func:`jacobian` reads.
+_Nodes = dataclasses.make_dataclass(
+    "_Nodes", ["r", "h", "v1", "v2", "lam_rad", "lam_tan", ("phi", object, None),
+               ("pair", object, None)])
 
 
 def _nodes(cfg, v, r, phi=None):
@@ -397,7 +404,9 @@ def residual(cfg, v, *, nodes=None):
         raise DomainError(f"profile must have {cfg.grid + 1} nodes")
     st = nodes or _nodes(cfg, v, cfg.nodes())
     phi = cfg.phi_values(st.r) if st.phi is None else st.phi
-    f = cfg.operator.two_valued(st.lam_rad, st.lam_tan)[0]
+    if st.pair is None:
+        st.pair = cfg.operator.two_valued(st.lam_rad, st.lam_tan)
+    f = st.pair[0]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         res = f - phi * v ** cfg.q
     if cfg.boundary_left != "symmetry":
@@ -437,10 +446,11 @@ def jacobian(cfg, v, *, nodes=None):
     tangential eigenvalues: ``f_rad`` is its partial in ``lam_rad`` and
     ``f_tan`` the sum of its n-1 partials in the tangential entries."""
     v = np.asarray(v, dtype=float)
-    r, h, v1, v2, lam_rad, lam_tan, phi = nodes or _nodes(cfg, v, cfg.nodes())
+    st = nodes or _nodes(cfg, v, cfg.nodes())
+    r, h, v1, v2, lam_rad, lam_tan = st.r, st.h, st.v1, st.v2, st.lam_rad, st.lam_tan
     n, m = cfg.n, v.size
-    _, f_rad, f_tan = cfg.operator.two_valued(lam_rad, lam_tan)
-    phi = cfg.phi_values(r) if phi is None else phi
+    _, f_rad, f_tan = st.pair or cfg.operator.two_valued(lam_rad, lam_tan)
+    phi = cfg.phi_values(r) if st.phi is None else st.phi
     q = cfg.q
 
     beta = (n + 2.0) / (n - 2.0)
@@ -514,6 +524,13 @@ def initial_vector(cfg):
     return v0
 
 
+def _norm2(res, norm):
+    """``||res||_2`` divided by the power of two next to ``norm``, the max-norm of the
+    step's residual, so that no square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(np.ldexp(res, -np.frexp(norm)[1])))
+
+
 def newton_solve(cfg, iterate_hook=None):
     """Damped Newton iteration for the radial boundary value problem.
 
@@ -534,7 +551,7 @@ def newton_solve(cfg, iterate_hook=None):
         bad = int(np.argmax(~(margins < 0.0)))
         raise AdmissibilityError(
             f"initial guess inadmissible at node {bad} (r = {r[bad]:g})", node=bad)
-    st = st._replace(phi=cfg.phi_values(r))
+    st.phi = cfg.phi_values(r)
     res = residual(cfg, v, nodes=st)
     norm = float(np.max(np.abs(res)))
     margin_min = float(np.min(-margins))
@@ -566,6 +583,7 @@ def newton_solve(cfg, iterate_hook=None):
             raise NumericError(f"singular linearization: {exc}") from exc
         if not np.all(np.isfinite(delta)):
             raise NumericError("singular linearization: non-finite Newton step")
+        norm2 = _norm2(res, norm)
 
         s, rejected = 1.0, []
         while True:
@@ -582,10 +600,10 @@ def newton_solve(cfg, iterate_hook=None):
                     reason = "retention"
             if reason is None:
                 res_try = residual(cfg, v_try, nodes=st_try)
-                norm_try = float(np.max(np.abs(res_try)))
-                if not (np.isfinite(norm_try) and norm_try < norm):
+                if not _norm2(res_try, norm) < norm2:
                     reason = "residual"
             if reason is None:
+                norm_try = float(np.max(np.abs(res_try)))
                 history.append({"residual": norm_try, "damping": s,
                                 "trials": len(rejected) + 1,
                                 "step_norm": s * float(np.max(np.abs(delta)) / np.max(v)),

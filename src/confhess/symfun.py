@@ -543,10 +543,15 @@ class Shifted(CurvatureOperator):
         return lam + (self.delta * _poly.reduce_columns(np.add, lam))[..., None]
 
     def admissible(self, lam):
+        # membership is 0-homogeneous: rows whose shift overflows are shifted
+        # again scaled by a power of two, and their value overflows instead
         lam = np.asarray(lam, dtype=float)
         with np.errstate(**_QUIET):
-            return ((_poly.reduce_columns(np.add, lam) > 0.0)
-                    & self.inner.admissible(self._shift(lam)))
+            shifted = self._shift(lam)
+            over = ~np.isfinite(_poly.reduce_columns(np.add, shifted))
+            if np.any(over):
+                shifted[over] = self._shift(cones._unit_rows(lam[over])[0])
+            return (_poly.reduce_columns(np.add, lam) > 0.0) & self.inner.admissible(shifted)
 
     def diagonal_shift(self, lam):
         # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1; for delta > 1
@@ -577,7 +582,10 @@ class Shifted(CurvatureOperator):
 
     @np.errstate(**_QUIET)
     def is_smooth_at(self, lam):
-        return self.inner.is_smooth_at(self._shift(np.asarray(lam, dtype=float)))
+        shifted = self._shift(as_eigentuple(lam, self.n))
+        if not np.all(np.isfinite(shifted)):
+            raise NumericError(f"{self.descriptor()} overflowed to a non-finite result")
+        return self.inner.is_smooth_at(shifted)
 
     @np.errstate(**_QUIET)
     def two_valued(self, a, b):

@@ -549,7 +549,8 @@ def test_axioms_at_a_huge_delta_is_a_numeric_failure(capsys):
 def test_trace_shift_overflow_is_a_numeric_failure(capsys):
     # every entry is finite, but lam + sum(lam) (1,..,1) overflows
     for command in ("eval", "grad"):
-        for op in ("shifted:delta=1,inner=inv-power", "ricci:inner=sigma-root:k=2"):
+        for op in ("shifted:delta=1,inner=inv-power", "ricci:inner=sigma-root:k=2",
+                   "shifted:delta=1,inner=pucci:k=1,delta=0", "ricci:inner=pucci:k=1,delta=0"):
             code, out, err = run(capsys, command, "--op", op, "--n", "3",
                                  "--lambda=1e308,1e308,1e308")
             assert code == 2 and out == "", (command, op)
@@ -557,7 +558,8 @@ def test_trace_shift_overflow_is_a_numeric_failure(capsys):
 
 
 def test_schouten_eigenvalues_out_of_float_range_are_a_numeric_failure(capsys):
-    # v^(-(n+2)/(n-2)) overflows at this scale: once printed -inf,inf,inf,inf with exit 0
+    # scale^2 rounds to 0 and v^(-(n+2)/(n-2)) overflows at this scale: once printed
+    # -inf,inf,inf,inf with exit 0
     for command in ("schouten", "kelvin"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -565,6 +567,45 @@ def test_schouten_eigenvalues_out_of_float_range_are_a_numeric_failure(capsys):
                                  "--n", "4", "--x=1,0,0,0")
         assert code == 2 and out == "", command
         assert err.startswith("numeric failure:") and "float range" in err, command
+
+
+def test_bubble_schouten_eigenvalues_far_from_unit_scale(capsys):
+    # both once printed 0,0,0,0 with exit 0: at scale 1e100 v' and v'' underflowed
+    # before v^-3 multiplied them; at 1e-100 scale^2 is lost against |x|^2, and
+    # v'' and v'^2 / v cancel to rounding noise
+    for scale, code_expected in (("1e100", 0), ("1e60", 0), ("1", 0), ("1e-100", 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "schouten", "--profile", f"bubble:scale={scale}",
+                                 "--n", "4", "--x=1,0,0,0")
+        assert code == code_expected, scale
+        if code == 0:
+            assert np.max(np.abs(np.array(out.split(","), dtype=float) - 2.0)) <= 1e-12, scale
+        else:
+            assert out == "" and err.startswith("numeric failure:"), scale
+            assert "does not resolve its curvature at radius 1\n" in err, scale
+
+
+def test_bubble_resolution_fails_only_the_schouten_eigenvalues_it_loses(capsys):
+    # the gradient monitor follows scale -> 0 on v and v' alone; Schouten and Kelvin
+    # keep answering where the cancellation costs digits but not all of them
+    argvs = [("monitor", "--profile", "bubble:scale=1e-5", "--n", "4", "--radius", "1",
+              "--kind", "grad"),
+             ("monitor", "--profile", "bubble:scale=1e-8", "--n", "4", "--radius", "1",
+              "--kind", "hess"),
+             ("schouten", "--profile", "bubble", "--n", "4", "--x=1e4,0,0,0"),
+             ("kelvin", "--profile", "bubble", "--n", "4", "--x=1e-4,0,0,0")]
+    for argv in argvs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        if argv[0] != "monitor":
+            eigs = np.array(out.splitlines()[-1].split(","), dtype=float)
+            assert np.max(np.abs(eigs - 2.0)) <= 1e-6, argv
+    code, out, err = run(capsys, "kelvin", "--profile", "bubble", "--n", "4", "--x=1e-8,0,0,0")
+    assert code == 2 and out == ""
+    assert err == "numeric failure: bubble:scale=1 does not resolve its curvature at radius 1e+08\n"
 
 
 def test_huge_bubble_and_sphere_scales_are_a_numeric_failure(capsys):
