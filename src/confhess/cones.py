@@ -182,12 +182,10 @@ class SigmaDelta:
 
     def diagonal_shift(self, lam):
         """``a min lam_i + b sum lam_i``, the sum on rows scaled by a power of two, and
-        for delta > 1 ``a``, ``b`` divided through by delta: nothing overflows."""
-        d, n = self.delta, self.n
-        if d <= 1.0:
-            a, b = -1.0 / (1.0 + n * d), -d / (1.0 + n * d)
-        else:
-            a, b = -(1.0 / d) / (1.0 / d + n), -1.0 / (1.0 / d + n)
+        ``a``, ``b`` divided through by max(1, delta): nothing overflows."""
+        c = max(1.0, self.delta)
+        w = 1.0 / c + self.n * (self.delta / c)
+        a, b = -(1.0 / c) / w, -(self.delta / c) / w
         x, p = _unit_rows(lam)
         return (a * _poly.reduce_columns(np.minimum, lam)
                 + np.ldexp(b * _poly.reduce_columns(np.add, x), p))

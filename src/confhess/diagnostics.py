@@ -27,10 +27,14 @@ import numpy as np
 
 from . import conformal
 from .conformal import _norm
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 #: Default dense 1-D scan size used by the radial monitor fast paths.
 RADIAL_SCAN = 10001
+
+#: The monitors and volume ratios check their results for the float range
+#: themselves, so intermediates that leave it raise no warning.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 def unit_ball_volume(n):
@@ -45,19 +49,19 @@ def unit_sphere_area(n):
 
 def cutoff(x_norm, radius):
     """The clamped cutoff ``(1 - |x|^2 / r^2)+``."""
-    return np.maximum(1.0 - np.asarray(x_norm, dtype=float) ** 2 / radius ** 2, 0.0)
+    return np.maximum(1.0 - (np.asarray(x_norm, dtype=float) / radius) ** 2, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature: composite Simpson with panel doubling and Richardson correction
 # ---------------------------------------------------------------------------
 
-def adaptive_simpson(f, a, b, rtol=1e-9, atol=1e-14, max_doublings=22):
+def adaptive_simpson(f, a, b):
     """Integrate a vectorized integrand over ``[a, b]`` arrays of intervals.
 
-    Panels are doubled until successive composite Simpson values agree to
-    the requested tolerance on every interval, then the Richardson-corrected
-    value is returned.  Shape of ``a``/``b`` is preserved.
+    Panels are doubled (at most 22 times) until successive composite Simpson
+    values agree to ``1e-14 + 1e-9 |value|`` on every interval, then the
+    Richardson-corrected value is returned.  Shape of ``a``/``b`` is preserved.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -74,9 +78,9 @@ def adaptive_simpson(f, a, b, rtol=1e-9, atol=1e-14, max_doublings=22):
 
     prev = composite(2)
     panels = 4
-    for _ in range(max_doublings):
+    for _ in range(22):
         cur = composite(panels)
-        if np.all(np.abs(cur - prev) <= atol + rtol * np.abs(cur)):
+        if np.all(np.abs(cur - prev) <= 1e-14 + 1e-9 * np.abs(cur)):
             return cur + (cur - prev) / 15.0
         prev = cur
         panels *= 2
@@ -127,15 +131,24 @@ def _check_ball(radius, num_samples):
         raise DomainError(f"need a finite positive radius and samples, got {radius}, {num_samples}")
 
 
-def _sampled(kind, radius, z, pts):
-    """The monitor at the first maximizer of ``z`` over the sample points."""
+def _argmax(kind, z):
+    """Index of the first maximizer of ``z``; :class:`NumericError` where a value
+    of ``z`` is not finite, as no supremum can be told then."""
     if not z.size:
         raise DomainError("no sample points")
-    i = int(np.argmax(z))
+    if not np.all(np.isfinite(z)):
+        raise NumericError(f"{kind} monitor leaves the float range")
+    return int(np.argmax(z))
+
+
+def _sampled(kind, radius, z, pts):
+    """The monitor at the first maximizer of ``z`` over the sample points."""
+    i = _argmax(kind, z)
     return EstimateMonitor(kind, radius, float(z[i]), float(_norm(pts[i])),
                            "sampled", len(pts))
 
 
+@np.errstate(**_QUIET)
 def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     """Supremum of ``rho |Dv| / v`` over the ball of the given radius.
 
@@ -150,7 +163,7 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
         s = np.linspace(lo, min(radius, pv.domain[1]), num_samples)
         val, d1, _ = pv.radial_jet(s)
         z = cutoff(s, radius) * np.abs(d1) / val
-        i = int(np.argmax(z))
+        i = _argmax("gradient", z)
         return EstimateMonitor("gradient", radius, float(z[i]), float(s[i]),
                                "radial", num_samples)
     pts = _sobol_ball(pv.n, radius, num_samples) if points is None else np.asarray(points)
@@ -159,6 +172,7 @@ def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     return _sampled("gradient", radius, z, pts)
 
 
+@np.errstate(**_QUIET)
 def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     """Supremum of ``rho^2 |u_xi,xi|`` over the ball and unit directions xi.
 
@@ -175,7 +189,7 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
         tang = np.abs(conformal.tangential_hessian(s, d1, d2))
         rad = np.abs(d2)
         z = cutoff(s, radius) ** 2 * np.maximum(rad, tang)
-        i = int(np.argmax(z))
+        i = _argmax("hessian", z)
         return EstimateMonitor("hessian", radius, float(z[i]), float(s[i]),
                                "radial" if rad[i] >= tang[i] else "tangential",
                                num_samples)
@@ -272,7 +286,8 @@ class VolumeRatioCurve:
                 "ratios": [float(t) for t in self.ratios]}
 
 
-def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
+@np.errstate(**_QUIET)
+def bishop_gromov_curve(p, r_list):
     """Volume ratios ``Q(r) = Vol(B_g(0, r)) / Vol(B_euclid(0, r))``.
 
     The metric is ``g = u^-2 dx^2`` for a radial U-gauge profile ``u``
@@ -284,7 +299,8 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
 
     and ``s(r)`` is found by Newton's method inside the cell of the cumulative
     ``rho`` table that holds ``r``.  Radii beyond the reachable geodesic radius raise a domain
-    error.
+    error, and a ratio that is not finite and positive (``r^n`` underflows, say)
+    raises :class:`NumericError`.
     """
     pu = conformal.gauge_convert(p, "u")
     if not (isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin):
@@ -308,15 +324,13 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
 
     r_max = float(np.max(r_list))
     domain_cap = pu.domain[1]
-    if s_max is None:
-        s_max = domain_cap if np.isfinite(domain_cap) else max(4.0 * r_max, 4.0)
+    s_max = domain_cap if np.isfinite(domain_cap) else max(4.0 * r_max, 4.0)
     allow_growth = not np.isfinite(domain_cap)
 
     while True:
-        nodes = np.concatenate([[0.0], np.geomspace(min(1e-4, s_max * 1e-6), s_max,
-                                                    table_size)])
-        rho_steps = adaptive_simpson(inv_u, nodes[:-1], nodes[1:], rtol=rtol)
-        vol_steps = adaptive_simpson(vol_density, nodes[:-1], nodes[1:], rtol=rtol)
+        nodes = np.concatenate([[0.0], np.geomspace(min(1e-4, s_max * 1e-6), s_max, 2048)])
+        rho_steps = adaptive_simpson(inv_u, nodes[:-1], nodes[1:])
+        vol_steps = adaptive_simpson(vol_density, nodes[:-1], nodes[1:])
         rho_tab = np.concatenate([[0.0], np.cumsum(rho_steps)])
         vol_tab = np.concatenate([[0.0], np.cumsum(vol_steps)])
         reach = float(rho_tab[-1])
@@ -341,7 +355,7 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
             lo, hi = float(nodes[j]), float(nodes[j + 1])
             s_r = lo + (hi - lo) * (r - rho_tab[j]) / (rho_tab[j + 1] - rho_tab[j])
             for _ in range(100):
-                g = rho_tab[j] + adaptive_simpson(inv_u, nodes[j], s_r, rtol=rtol)[0] - r
+                g = rho_tab[j] + adaptive_simpson(inv_u, nodes[j], s_r)[0] - r
                 lo, hi = (s_r, hi) if g < 0.0 else (lo, s_r)
                 s_new = s_r - g / float(inv_u(s_r))
                 if not lo <= s_new <= hi:
@@ -349,8 +363,11 @@ def bishop_gromov_curve(p, r_list, s_max=None, table_size=2048, rtol=1e-9):
                 s_r, step = s_new, abs(s_new - s_r)
                 if step <= 1e-13 * (1.0 + s_r):
                     break
-            vol = vol_tab[j] + adaptive_simpson(vol_density, nodes[j], s_r, rtol=rtol)[0]
+            vol = vol_tab[j] + adaptive_simpson(vol_density, nodes[j], s_r)[0]
         ratios[idx] = area * vol / (ball * r ** n)
+    bad = ~((ratios > 0.0) & (ratios < np.inf))
+    if np.any(bad):
+        raise NumericError(f"volume ratio at radius {r_list[bad][0]:g} leaves the float range")
     return VolumeRatioCurve(n=n, radii=r_list.copy(), ratios=ratios)
 
 

@@ -356,13 +356,6 @@ def _stencil(cfg, v, r):
     return r, h, v1, v2
 
 
-def _node_eigs(cfg, v, jet):
-    """Radial and tangential eigenvalues at the nodes of ``jet = _stencil(..)``."""
-    r, _, v1, v2 = jet
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return conformal.radial_jet_eigs(cfg.n, r, v, v1, v2)
-
-
 def _tuples(n, lam_rad, lam_tan):
     lam = np.empty((lam_rad.size, n))
     lam[:, 0] = lam_rad
@@ -370,11 +363,10 @@ def _tuples(n, lam_rad, lam_tan):
     return lam
 
 
-def node_eigentuples(cfg, v, *, jet=None):
-    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node;
-    ``jet`` is ``_stencil(cfg, v, cfg.nodes())`` where the caller has it."""
-    v = np.asarray(v, dtype=float)
-    return _tuples(cfg.n, *_node_eigs(cfg, v, _stencil(cfg, v, cfg.nodes()) if jet is None else jet))
+def node_eigentuples(cfg, v):
+    """Eigenvalue tuples ``(lam_rad, lam_tan, .., lam_tan)`` at every node."""
+    st = _nodes(cfg, np.asarray(v, dtype=float), cfg.nodes())
+    return _tuples(cfg.n, st.lam_rad, st.lam_tan)
 
 
 #: One pass over the nodes of a profile: the stencil's ``(r, h, v1, v2)``, the
@@ -387,8 +379,9 @@ _Nodes = dataclasses.make_dataclass(
 
 
 def _nodes(cfg, v, r, phi=None):
-    jet = _stencil(cfg, v, r)
-    return _Nodes(*jet, *_node_eigs(cfg, v, jet), phi)
+    r, h, v1, v2 = _stencil(cfg, v, r)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _Nodes(r, h, v1, v2, *conformal.radial_jet_eigs(cfg.n, r, v, v1, v2), phi)
 
 
 def residual(cfg, v, *, nodes=None):
@@ -623,6 +616,17 @@ def newton_solve(cfg, iterate_hook=None):
                   "converged" if converged else "iteration limit reached")
 
 
+def _converged(cfg, label):
+    """The converged :func:`newton_solve` result, else :class:`NumericError`
+    ``"<label> failed: <message>"`` carrying the result as ``.result``."""
+    out = newton_solve(cfg)
+    if not out.converged:
+        err = NumericError(f"{label} failed: {out.message}")
+        err.result = out
+        raise err
+    return out
+
+
 def continuation_p(cfg, p_schedule):
     """Sequential solves over an exponent schedule, warm-starting each step.
 
@@ -633,13 +637,8 @@ def continuation_p(cfg, p_schedule):
     p_schedule = [float(p) for p in p_schedule]
     if not p_schedule:
         raise DomainError("empty exponent schedule")
-    results = []
-    first = newton_solve(dataclasses.replace(cfg, exponent_p=p_schedule[0]))
-    if not first.converged:
-        err = NumericError(f"first continuation step p={p_schedule[0]:g} failed: {first.message}")
-        err.result = first
-        raise err
-    results.append(first)
+    results = [_converged(dataclasses.replace(cfg, exponent_p=p_schedule[0]),
+                          f"first continuation step p={p_schedule[0]:g}")]
     for p in p_schedule[1:]:
         warm = dataclasses.replace(cfg, exponent_p=p, initial_guess=results[-1].v)
         out = newton_solve(warm)
@@ -676,11 +675,7 @@ def convergence_study(cfg, refinements, exact):
     levels = []
     for i in range(refinements):
         level_cfg = dataclasses.replace(cfg, grid=cfg.grid * 2 ** i)
-        out = newton_solve(level_cfg)
-        if not out.converged:
-            err = NumericError(f"grid {level_cfg.grid} failed: {out.message}")
-            err.result = out
-            raise err
+        out = _converged(level_cfg, f"grid {level_cfg.grid}")
         sup = float(np.max(np.abs(out.v - np.asarray(fn(out.r), dtype=float))))
         levels.append((level_cfg.grid, sup))
     return ConvergenceStudy(levels=levels)

@@ -102,16 +102,6 @@ def ricci_map(lam):
     return lam + (_poly.reduce_columns(np.add, lam) / (n - 2))[..., None]
 
 
-def _sort_with_order(lam):
-    """The sorted rows and the stable ranks of the entries, for :func:`_scatter`."""
-    return _poly.sort_rows(lam), _poly.stable_ranks(lam)
-
-
-def _scatter(values_sorted, rank):
-    """Per-entry values of the sorted rows moved back to the entries' positions."""
-    return np.take_along_axis(values_sorted, rank, axis=-1)
-
-
 class CurvatureOperator:
     """Shared behaviour for the operator catalog.
 
@@ -150,8 +140,8 @@ class CurvatureOperator:
         lam = as_eigentuple(lam, self.n)
 
         def block(x):
-            ls, rank = _sort_with_order(x)
-            return _scatter(_rescaled(self._gradient_sorted, 0, ls), rank)
+            g = _rescaled(self._gradient_sorted, 0, _poly.sort_rows(x))
+            return np.take_along_axis(g, _poly.stable_ranks(x), axis=-1)
 
         with np.errstate(**_QUIET):
             return _poly._by_row_blocks(block, lam)
@@ -178,13 +168,12 @@ class CurvatureOperator:
     def admissible(self, lam):
         return cones.cone_contains(self.cone, lam)
 
-    def _quadform_fd(self, lam, b, h=None):
+    def _quadform_fd(self, lam, b):
         """Second-order central difference along ``b``; the fallback when no
         analytic Hessian is coded, and the midpoint concavity defect at
         non-smooth points."""
-        if h is None:
-            scale = np.maximum(_poly.reduce_columns(np.maximum, np.abs(lam)), 1.0)[..., None]
-            h = 1.22e-4 * scale / np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-30)
+        scale = np.maximum(_poly.reduce_columns(np.maximum, np.abs(lam)), 1.0)[..., None]
+        h = 1.22e-4 * scale / np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-30)
         fp = self.value(lam + h * b)
         fm = self.value(lam - h * b)
         f0 = self.value(lam)
@@ -349,13 +338,12 @@ class PucciMin(CurvatureOperator):
         return self.value(lam) > 0.0
 
     def diagonal_shift(self, lam):
-        # f is linear along the diagonal: f(lam + t 1) = f(lam) + (n delta + k) t;
-        # for delta > 1 divided through by delta, so that nothing overflows.
-        d = self.delta
-        if d <= 1.0:
-            return -self.value(lam) / (self.n * d + self.k)
-        low = _poly.reduce_columns(np.add, _poly.sort_rows(lam)[..., :self.k])
-        return -(_poly.reduce_columns(np.add, lam) + low / d) / (self.n + self.k / d)
+        # f is linear along the diagonal: f(lam + t 1) = f(lam) + (n delta + k) t,
+        # divided through by max(1, delta), so that nothing overflows
+        c, ls = max(1.0, self.delta), _poly.sort_rows(lam)
+        low = _poly.reduce_columns(np.add, ls[..., :self.k])
+        return (-((self.delta / c) * _poly.reduce_columns(np.add, ls) + low / c)
+                / (self.n * (self.delta / c) + self.k / c))
 
     def _value_sorted(self, ls):
         return (self.delta * _poly.reduce_columns(np.add, ls)
@@ -554,15 +542,12 @@ class Shifted(CurvatureOperator):
             return (_poly.reduce_columns(np.add, lam) > 0.0) & self.inner.admissible(shifted)
 
     def diagonal_shift(self, lam):
-        # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1; for delta > 1
-        # divided through by delta (the inner t* is 1-homogeneous), so that
-        # delta * sum and n * delta cannot overflow.
-        d, inner = self.delta, self.inner.cone.diagonal_shift
-        total = _poly.reduce_columns(np.add, lam)
-        if d <= 1.0:
-            t = inner(self._shift(lam)) / (1.0 + self.n * d)
-        else:
-            t = inner(lam / d + total[..., None]) / (1.0 / d + self.n)
+        # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1, divided through
+        # by c = max(1, delta) (the inner t* is 1-homogeneous), so that delta * sum
+        # and n * delta cannot overflow
+        c, total = max(1.0, self.delta), _poly.reduce_columns(np.add, lam)
+        t = (self.inner.cone.diagonal_shift(lam / c + ((self.delta / c) * total)[..., None])
+             / (1.0 / c + self.n * (self.delta / c)))
         return np.maximum(-total / self.n, t)
 
     # Adding one scalar per row keeps a sorted row sorted (rounding is
@@ -699,7 +684,7 @@ class AxiomReport:
 
 
 @np.errstate(**_QUIET)
-def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsample=64):
+def verify_axioms(spec, samples, seed):
     """Sample the operator's cone and count violations of its axioms.
 
     Checks positivity, gradient positivity, midpoint concavity (the defect
@@ -749,7 +734,7 @@ def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsam
     violations["f5_homogeneity"] = int(np.count_nonzero(hom_defect > HOMOGENEITY_TOL))
     worst["f5_homogeneity"] = float(np.max(hom_defect))
 
-    m_orth = min(orthogonal_subsample, samples)
+    m_orth = min(64, samples)
     q, r = np.linalg.qr(rng.standard_normal((m_orth, spec.n, spec.n)))
     q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]    # Haar-distributed
     a = (q * lam[:m_orth, None, :]) @ np.swapaxes(q, -1, -2)
@@ -758,7 +743,7 @@ def verify_axioms(spec, samples, seed, boundary_subsample=256, orthogonal_subsam
     violations["orthogonal_invariance"] = int(np.count_nonzero(orth_defect > ORTHOGONAL_TOL))
     worst["orthogonal_invariance"] = float(np.max(orth_defect, initial=0.0))
 
-    m_b = min(boundary_subsample, samples)
+    m_b = min(256, samples)
     sub = lam[:m_b]
     tstar = cones.boundary_shift(cone, sub)
     f0 = spec.value(sub)

@@ -625,6 +625,33 @@ def test_huge_bubble_and_sphere_scales_are_a_numeric_failure(capsys):
         assert err.startswith("numeric failure:") and "float range" in err, argv
 
 
+def test_monitors_and_volume_ratios_report_no_nan_as_success(capsys):
+    # each once printed nan with exit 0, or a RuntimeWarning: the cutoff's x^2 / r^2
+    # is 0 / 0 at r = 1e-300, r^n and the ball volume underflow, and the U-gauge
+    # chain rule overflows at scale 1e-150 (the exact sup 2 / scale is finite), as
+    # do derivatives that the last two commands compute but do not use
+    bubble = ("--profile", "bubble", "--n", "4")
+    cases = [(("monitor",) + bubble + ("--radius", "1e-300"), 0, 4e-300 / (3 * np.sqrt(3.0))),
+             (("monitor",) + bubble + ("--radius", "1e-300", "--kind", "hess"), 0, 2.0),
+             (("bishop-gromov",) + bubble + ("--radii", "1e-300"), 2, None),
+             (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1",
+               "--kind", "hess"), 2, None),
+             (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1"),
+              0, 19999.9998),
+             (("bishop-gromov", "--profile", "const:c=1e-200", "--n", "4", "--radii", "1"),
+              1, None)]
+    for argv, code_expected, sup in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == code_expected and "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert err == "" and not NON_FINITE.search(out), (argv, out)
+            assert float(out.split(" sup ")[1].split()[0]) == pytest.approx(sup, rel=1e-9), argv
+        else:
+            assert out == "", argv
+
+
 # ---------------------------------------------------------------------------
 # Property tests: every eval/grad/cone/axioms call, and every solve of a config
 # document, ends with a documented exit code

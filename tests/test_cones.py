@@ -147,6 +147,20 @@ def test_boundary_shift_sigma_delta_large_delta():
             assert cones.boundary_shift(cone, lam) == pytest.approx(want, rel=1e-15)
 
 
+def test_pucci_boundary_shift_is_bitwise_permutation_invariant():
+    # both sums of the divided-through formula are taken on the sorted row; a
+    # total summed in column order once changed bits for delta > 1
+    rng = np.random.default_rng(7)
+    for n in (3, 5):
+        lam = rng.standard_normal((20000, n))
+        for delta in (0.5, 2.5, 1e5):
+            cone = symfun.PucciMin(n, 2, delta).cone
+            want = cones.boundary_shift(cone, lam)
+            for _ in range(3):
+                got = cones.boundary_shift(cone, lam[:, rng.permutation(n)])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, delta)
+
+
 def test_boundary_shift_gamma_n_is_exact_min():
     # -min lam_i, though entries below 2^-1074 of the row maximum vanish in
     # any row scaled to unit maximum

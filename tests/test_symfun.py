@@ -384,11 +384,11 @@ def test_quadform_jets_match_the_pairwise_hessian(data):
 def _shifted_by_resorting(spec, lam):
     """Trace-shift value and gradient through the inner operator's public
     ``value``/``gradient``, which sort the already sorted shifted rows again."""
-    ls, order = symfun._sort_with_order(lam)
-    x = spec._shift(ls)
+    x = spec._shift(_poly.sort_rows(lam))
     g1 = spec.inner.gradient(x)
     with np.errstate(invalid="ignore", over="ignore"):    # inf entries, as spec.gradient
-        g = symfun._scatter(g1 + spec.delta * np.sum(g1, axis=-1, keepdims=True), order)
+        g = np.take_along_axis(g1 + spec.delta * np.sum(g1, axis=-1, keepdims=True),
+                               _poly.stable_ranks(lam), axis=-1)
     return spec.inner.value(x), g
 
 
@@ -650,7 +650,8 @@ def test_scatter_undoes_the_sort(lead, n, seed, fortran):
     lam += 0.0      # no -0.0: the sort may swap it with a tied +0.0
     if fortran:
         lam = np.asfortranarray(lam)
-    assert np.array_equal(_bits(symfun._scatter(*symfun._sort_with_order(lam))), _bits(lam))
+    unsorted = np.take_along_axis(_poly.sort_rows(lam), _poly.stable_ranks(lam), axis=-1)
+    assert np.array_equal(_bits(unsorted), _bits(lam))
 
 
 # ---------------------------------------------------------------------------
