@@ -213,9 +213,12 @@ def _cmd_kelvin(args):
     prof = _profile(args, args.n)
     transform = conformal.kelvin(prof)
     x = _point(args)
-    val = float(transform.value(x))
+    with np.errstate(**conformal._QUIET):
+        val, y = float(transform.value(x)), x / float(x @ x)
     eigs = conformal.schouten_eigs(transform, x)
-    src = conformal.schouten_eigs(prof, x / float(x @ x))
+    src = conformal.schouten_eigs(prof, y)
+    if not np.isfinite(val):
+        raise NumericError("Kelvin transform value leaves the float range")
     _emit(args, {"n": args.n, "x": [float(t) for t in x], "value": val,
                  "eigenvalues": [float(t) for t in eigs],
                  "source_eigenvalues": [float(t) for t in src]},

@@ -40,6 +40,11 @@ import numpy as np
 from .errors import DomainError, NumericError, PositivityError, UsageError, parse_descriptor
 
 GAUGES = ("v", "u", "w")
+_EPS = np.finfo(float).eps
+#: Floating-point events ignored where the results are checked for the float range
+#: instead (Schouten eigenvalues here, the monitors and volume ratios in diagnostics),
+#: so that intermediates that leave it raise no warning.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +95,6 @@ class SphereBackground:
     def dlog_phi(self, x):
         a2 = self.radius ** 2
         return -2.0 * np.asarray(x, dtype=float) / (a2 + float(np.dot(x, x)))
-
-    def conformal_factor_profile(self):
-        """The sphere metric as a V-gauge factor over flat space."""
-        base = bubble_profile(self.n, scale=self.radius)
-        return scale_profile(base, _float_power(2.0 * self.radius, (self.n - 2) / 2.0,
-                                                f"sphere radius {self.radius:g}"))
 
 
 def _float_power(x, p, what):
@@ -203,15 +202,16 @@ class RadialProfile(Profile):
 
     @property
     def centered_at_origin(self):
-        return bool(np.all(self.center == 0.0))
+        return np.count_nonzero(self.center) == 0
 
     def _check_radius(self, s):
         s = np.asarray(s, dtype=float)
         lo, hi = self.domain
-        s_min, s_max = s.min(initial=np.inf), s.max(initial=-np.inf)
+        s_min = np.minimum.reduce(s, axis=None, initial=np.inf)
         if self.excludes_origin and s_min <= 0.0:
             raise DomainError(f"profile {self.label or 'radial'} is undefined at the center")
-        if s_min < lo - 1e-12 or s_max > hi * (1 + 1e-12):
+        # no radius exceeds an infinite upper end, so only a finite one is compared
+        if s_min < lo - 1e-12 or (hi < np.inf and s.max(initial=-np.inf) > hi * (1 + 1e-12)):
             raise DomainError(f"radius outside profile domain [{lo:g}, {hi:g}]")
         return s
 
@@ -220,7 +220,7 @@ class RadialProfile(Profile):
 
     def radial_jet(self, s):
         """``(f, f', f'')`` at radii ``s``."""
-        return tuple(np.asarray(t) for t in self._jet1(self._check_radius(s)))
+        return tuple(map(np.asarray, self._jet1(self._check_radius(s))))
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -230,7 +230,7 @@ class RadialProfile(Profile):
         d = np.asarray(x, dtype=float) - self.center
         s = _norm(d)
         val, v1, v2 = self.radial_jet(s)
-        unit = d / np.where(s == 0.0, 1.0, s)[..., None]
+        unit = d / (s + (s == 0.0))[..., None]      # s >= 0: s + 1 is 1 where s is 0
         proj = _outer(unit, unit)
         tang = tangential_hessian(s, v1, v2)
         hess = v2[..., None, None] * proj + tang[..., None, None] * (np.eye(self.n) - proj)
@@ -407,8 +407,8 @@ def constant_profile(n, c=1.0, gauge="v", background=None):
     """Profile identically equal to ``c`` (flat metric when c > 0, flat bg)."""
     if c <= 0 and gauge in ("v", "u"):
         raise DomainError(f"constant profile must be positive in gauge {gauge}")
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return RadialProfile(lambda s: np.full_like(np.asarray(s, dtype=float), float(c)),
+    zero = lambda s: np.zeros(np.shape(s))
+    return RadialProfile(lambda s: np.full(np.shape(s), float(c)),
                          zero, zero, n, gauge=gauge, background=background,
                          label=f"const:c={c:g}")
 
@@ -444,24 +444,22 @@ def bubble_profile(n, scale=1.0, center=None, gauge="v", background=None):
         return c * (eps2 + np.asarray(s, dtype=float) ** 2) ** (-m)
 
     # The derivatives are v times rational functions of s, so that they
-    # underflow no sooner than v.
-    def d1(s):
+    # underflow no sooner than v; the jet evaluates v once.
+    def jet1(s):
         s = np.asarray(s, dtype=float)
-        return fun(s) * (-2.0 * m * s / (eps2 + s ** 2))
+        s2 = s ** 2
+        q = eps2 + s2
+        v = c * q ** (-m)
+        return v, v * (-2.0 * m * s / q), v * (4.0 * m * (m + 1) * s2 / q - 2.0 * m) / q
 
-    def d2(s):
-        s = np.asarray(s, dtype=float)
-        q = eps2 + s ** 2
-        return fun(s) * (4.0 * m * (m + 1) * s ** 2 / q - 2.0 * m) / q
-
-    out = RadialProfile(fun, d1, d2, n, gauge=gauge, background=background,
-                        center=center, label=f"bubble:scale={scale:g}")
+    out = RadialProfile(fun, lambda s: jet1(s)[1], lambda s: jet1(s)[2], n, gauge=gauge,
+                        background=background, center=center, label=f"bubble:scale={scale:g}")
+    out._jet1 = jet1
     # The Schouten eigenvalues (all 2) are v'' less a multiple of v'^2 / v, which
     # cancel: their rounding error, measured over n = 3..8 and s / scale up to 1e9,
     # is up to 6.4 n eps (s / scale)^2.  Where 8 n eps (s / scale)^2 exceeds 1 they
     # would keep no correct digit (scale = 1e-100 at s = 1 gives 0).
-    out.curvature_resolved = lambda s: (8.0 * n * np.finfo(float).eps
-                                        * np.asarray(s, dtype=float) ** 2 <= eps2)
+    out.curvature_resolved = lambda s: 8.0 * n * _EPS * np.asarray(s, dtype=float) ** 2 <= eps2
     return out
 
 
@@ -539,8 +537,9 @@ def _positive_jet(p, x):
 
 
 def _conformal_hessian(n, val, grad, hess):
-    return (-hess + (n / (n - 2.0)) * np.outer(grad, grad) / val
-            - (1.0 / (n - 2.0)) * float(grad @ grad) / val * np.eye(n))
+    out = (n / (n - 2.0)) * _outer(grad, grad) / val - hess
+    out.flat[::n + 1] -= (1.0 / (n - 2.0)) * float(grad @ grad) / val
+    return out
 
 
 def conformal_hessian_matrix(p, x):
@@ -563,9 +562,10 @@ def conformal_hessian_matrix(p, x):
 
 
 def _eigvalsh(mat):
-    defect = float(abs(mat - mat.T).max())
-    scale = 1.0 + float(abs(mat).max())
-    if defect > 1e-10 * scale:
+    # the difference is antisymmetric, so its max is its largest |entry|; an
+    # exactly symmetric matrix needs no scale
+    defect = (mat - mat.T).max()
+    if defect > 0.0 and defect > 1e-10 * (1.0 + abs(mat).max()):
         raise NumericError(f"matrix is not symmetric (defect {defect:g})")
     try:
         return np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -582,14 +582,17 @@ def flat_equivalent(p):
     pv = gauge_convert(p, "v")
     if pv.background.kind == "flat":
         return pv
-    psi = pv.background.conformal_factor_profile()
+    # the sphere metric as a V-gauge factor over flat space: t times a bubble
+    a = pv.background.radius
+    bubble, t = bubble_profile(pv.n, scale=a), _float_power(2.0 * a, (pv.n - 2) / 2.0,
+                                                           f"sphere radius {a:g}")
 
     def jet_map(jet, x):
         v1, g1, h1 = jet(pv, x)
-        v2, g2, h2 = jet(psi, x)
+        v2, g2, h2 = (t * d for d in jet(bubble, x))
+        g12 = _outer(g1, g2)
         return (v1 * v2, g1 * v2[..., None] + v1[..., None] * g2,
-                h1 * v2[..., None, None] + _outer(g1, g2) + _outer(g2, g1)
-                + v1[..., None, None] * h2)
+                h1 * v2[..., None, None] + g12 + g12.swapaxes(-1, -2) + v1[..., None, None] * h2)
 
     return _transform(pv, jet_map, isinstance(pv, RadialProfile) and pv.centered_at_origin,
                       "v", FlatBackground(pv.n))
@@ -623,26 +626,31 @@ def schouten_eigs(p, x):
     of ``p`` is radial about ``c``, else the eigenvalues of :func:`schouten_matrix`.
     Eigenvalues that leave the float range raise :class:`NumericError`."""
     pv = flat_equivalent(p)
-    if not isinstance(pv, RadialProfile):
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
+        if not isinstance(pv, RadialProfile):
             eigs = schouten_matrix(p, x).eigenvalues
-        _check_range(eigs)
-        return eigs
-    lam_rad, lam_tan = radial_schouten_eigs(pv, _norm(np.asarray(x, dtype=float) - pv.center))
-    return np.sort(np.stack([lam_rad] + [lam_tan] * (pv.n - 1), axis=-1), axis=-1)
+            _check_range(eigs)
+            return eigs
+        lam_rad, lam_tan = radial_schouten_eigs(pv, _norm(np.asarray(x, dtype=float) - pv.center))
+    # the stable sort of (lam_rad, lam_tan, ..., lam_tan), placed: lam_rad comes
+    # first where it is <= lam_tan (ties included), and last where it is larger
+    eigs = lam_tan[..., None].repeat(pv.n, axis=-1)
+    np.copyto(eigs[..., 0], lam_rad, where=lam_rad <= lam_tan)
+    np.copyto(eigs[..., -1], lam_rad, where=lam_rad > lam_tan)
+    return eigs
 
 
 def _check_range(*eigs):
     """:class:`NumericError` if an eigenvalue left the float range."""
     for e in eigs:
-        if not np.isfinite(e).all():
+        if np.count_nonzero(~np.isfinite(e)):
             raise NumericError("Schouten eigenvalues leave the float range")
 
 
 def tangential_hessian(r, d1, d2):
     """Tangential Hessian eigenvalue ``d1 / r`` of a radial function, with
     the even-extension limit ``d2`` at ``r = 0``."""
-    return np.where(r == 0.0, d2, d1 / np.where(r == 0.0, 1.0, r))
+    return np.where(at_zero := r == 0.0, d2, d1 / (r + at_zero))    # r + 1 is 1 where r is 0
 
 
 def radial_jet_eigs(n, r, v, v1, v2):
@@ -658,9 +666,9 @@ def radial_jet_eigs(n, r, v, v1, v2):
     orthogonal complement).  At ``r = 0`` the even extension gives
     ``v'/r -> v''`` and the two eigenvalues coincide.
     """
-    pref = (2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0))
-    lam_rad = pref * (-v2 + ((n - 1.0) / (n - 2.0)) * v1 ** 2 / v)
-    lam_tan = pref * (-tangential_hessian(r, v1, v2) - (1.0 / (n - 2.0)) * v1 ** 2 / v)
+    pref, w = (2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0)), v1 ** 2
+    lam_rad = pref * (((n - 1.0) / (n - 2.0)) * w / v - v2)
+    lam_tan = pref * (-tangential_hessian(r, v1, v2) - (1.0 / (n - 2.0)) * w / v)
     return lam_rad, lam_tan
 
 
@@ -674,15 +682,15 @@ def radial_schouten_eigs(p, r):
         raise DomainError("radial_schouten_eigs requires a radial profile "
                           "(centered at 0 over the sphere)")
     r = np.asarray(r, dtype=float)
-    val, v1, v2 = pv.radial_jet(r)
-    if np.any(val <= 0.0):
-        raise PositivityError("profile must be positive on the requested radii")
-    if pv.curvature_resolved is not None:
-        lost = ~pv.curvature_resolved(r)
-        if np.any(lost):
-            raise NumericError(f"{pv.label} does not resolve its curvature at radius "
-                               f"{r[lost].flat[0]:g}")
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
+        val, v1, v2 = pv.radial_jet(r)
+        if np.count_nonzero(val <= 0.0):
+            raise PositivityError("profile must be positive on the requested radii")
+        if pv.curvature_resolved is not None:
+            lost = ~pv.curvature_resolved(r)
+            if np.count_nonzero(lost):
+                raise NumericError(f"{pv.label} does not resolve its curvature at radius "
+                                   f"{r[lost].flat[0]:g}")
         lam_rad, lam_tan = radial_jet_eigs(pv.n, r, val, v1, v2)
     _check_range(lam_rad, lam_tan)
     return lam_rad, lam_tan
@@ -707,24 +715,24 @@ def kelvin(p):
 
     def jet_map(jet, x):
         r2 = _dot(x, x)
-        if np.any(r2 == 0.0):
+        if np.count_nonzero(r2 == 0.0):
             raise DomainError("Kelvin transform is undefined at the origin")
-        r, q2 = np.sqrt(r2), r2[..., None, None]
+        r = np.sqrt(r2)
         val, grad, hess = jet(pv, x / r2[..., None])
-        eye, xx = np.eye(x.shape[-1]), _outer(x, x)
-        s = r ** a
-        ds = (a * r ** (a - 2.0))[..., None] * x
-        d2s = a * ((r ** (a - 2.0))[..., None, None] * eye
-                   + ((a - 2.0) * r ** (a - 4.0))[..., None, None] * xx)
-        jac = (eye - 2.0 * xx / q2) / q2
-        jg = (jac @ grad[..., None])[..., 0]
-        # grad contracted with the second derivatives of y_k = x_k / r^2
-        gx = _dot(grad, x)[..., None, None]
-        phess = jac @ hess @ jac + ((-2.0 / q2 ** 2) * (gx * eye + _outer(x, grad) + _outer(grad, x))
-                                    + (8.0 / q2 ** 3) * gx * xx)
-        khess = (val[..., None, None] * d2s + _outer(ds, jg) + _outer(jg, ds)
-                 + s[..., None, None] * phess)
-        return s * val, val[..., None] * ds + s[..., None] * jg, khess
+        # With V, g, H the jet of v at x / r^2, gx = g.x / r^2 and hx = H x / r^2, the
+        # gradient is r^(a-2) (g + c x) with c = a V - 2 gx, and the Hessian is the
+        # update r^(a-4) (H + r^2 c I + beta x x' + x z' + z x') of H, with beta below
+        # and z = (a - 2) g - 2 hx: the chain rule's reflection (I - 2 x x' / r^2) H
+        # (I - 2 x x' / r^2), expanded, and the derivatives of r^a and of x / r^2.
+        # beta x x' + x z' + z x' is x w' + w x' with w = z + beta x / 2.
+        gx = _dot(grad, x) / r2
+        hx = (hess @ x[..., None])[..., 0] / r2[..., None]
+        c = a * val - 2.0 * gx
+        beta = a * (a - 2.0) * val + (8.0 - 4.0 * a) * gx + 4.0 * _dot(hx, x) / r2
+        xw = _outer(x, (a - 2.0) * grad - 2.0 * hx + (0.5 * beta)[..., None] * x)
+        update = (r2 * c)[..., None, None] * np.eye(x.shape[-1]) + xw + xw.swapaxes(-1, -2)
+        return (r ** a * val, (r ** (a - 2.0))[..., None] * (grad + c[..., None] * x),
+                (r ** (a - 4.0))[..., None, None] * (hess + update))
 
     return _transform(pv, jet_map, isinstance(pv, RadialProfile) and pv.centered_at_origin,
                       "v", pv.background, domain=(0.0, np.inf), excludes_origin=True,

@@ -26,15 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .conformal import _norm
+from .conformal import _QUIET, _norm
 from .errors import DomainError, NumericError
 
 #: Default dense 1-D scan size used by the radial monitor fast paths.
 RADIAL_SCAN = 10001
-
-#: The monitors and volume ratios check their results for the float range
-#: themselves, so intermediates that leave it raise no warning.
-_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 def unit_ball_volume(n):
@@ -299,8 +295,9 @@ def bishop_gromov_curve(p, r_list):
 
     and ``s(r)`` is found by Newton's method inside the cell of the cumulative
     ``rho`` table that holds ``r``.  Radii beyond the reachable geodesic radius raise a domain
-    error, and a ratio that is not finite and positive (``r^n`` underflows, say)
-    raises :class:`NumericError`.
+    error, and a ratio that is not finite and positive raises :class:`NumericError`.
+    The ratio is formed from ``Vol / r^n`` integrated in the variable ``t / r``, so
+    that it stays in range where ``r^n`` and ``Vol`` underflow.
     """
     pu = conformal.gauge_convert(p, "u")
     if not (isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin):
@@ -347,7 +344,7 @@ def bishop_gromov_curve(p, r_list):
     ratios = np.empty(r_list.size)
     for idx, r in enumerate(r_list):
         if r >= reach:
-            vol = vol_tab[-1]
+            scaled = vol_tab[-1] / r ** n
         else:
             # Newton on rho(s) = r with rho'(s) = 1/u(s), inside the table
             # cell holding r; a step leaving the shrinking bracket bisects it.
@@ -363,8 +360,11 @@ def bishop_gromov_curve(p, r_list):
                 s_r, step = s_new, abs(s_new - s_r)
                 if step <= 1e-13 * (1.0 + s_r):
                     break
-            vol = vol_tab[j] + adaptive_simpson(vol_density, nodes[j], s_r)[0]
-        ratios[idx] = area * vol / (ball * r ** n)
+            # Vol / r^n, with the last cell's integral in t = r tau: at small r
+            # both r^n and Vol underflow, their quotient does not
+            scaled = (vol_tab[j] / r ** n if j else 0.0) + adaptive_simpson(
+                lambda tau: tau ** (n - 1) * inv_u(r * tau) ** n, nodes[j] / r, s_r / r)[0]
+        ratios[idx] = area * scaled / ball
     bad = ~((ratios > 0.0) & (ratios < np.inf))
     if np.any(bad):
         raise NumericError(f"volume ratio at radius {r_list[bad][0]:g} leaves the float range")

@@ -630,10 +630,10 @@ def test_monitors_and_volume_ratios_report_no_nan_as_success(capsys):
     # is 0 / 0 at r = 1e-300, r^n and the ball volume underflow, and the U-gauge
     # chain rule overflows at scale 1e-150 (the exact sup 2 / scale is finite), as
     # do derivatives that the last two commands compute but do not use
+    # (bishop-gromov at radius 1e-300 now answers: see the test below)
     bubble = ("--profile", "bubble", "--n", "4")
     cases = [(("monitor",) + bubble + ("--radius", "1e-300"), 0, 4e-300 / (3 * np.sqrt(3.0))),
              (("monitor",) + bubble + ("--radius", "1e-300", "--kind", "hess"), 0, 2.0),
-             (("bishop-gromov",) + bubble + ("--radii", "1e-300"), 2, None),
              (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1",
                "--kind", "hess"), 2, None),
              (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1"),
@@ -652,9 +652,46 @@ def test_monitors_and_volume_ratios_report_no_nan_as_success(capsys):
             assert out == "", argv
 
 
+def test_volume_ratio_at_tiny_radii_is_one(capsys):
+    # Q = 1 up to the quadrature tolerance, where r^n and the ball volume
+    # underflow (at 1e-81 and 1e-300 this exited 2)
+    for radius in ("1e-78", "1e-81", "1e-300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bishop-gromov", "--profile", "bubble", "--n", "4",
+                                 "--radii", radius)
+        assert code == 0 and err == "", (radius, err)
+        r, q = (float(f.split("=")[1]) for f in out.split())
+        assert r == float(radius) and abs(q - 1.0) <= 1e-9, (radius, out)
+
+
+def test_schouten_and_kelvin_far_from_unit_scale_warn_nothing(capsys):
+    # each printed a RuntimeWarning (overflow in |x|, in a gauge power or in the
+    # Kelvin value at huge |x|) before exiting with the code pinned here; the
+    # exits 1 are the positivity check meeting a factor that underflowed to 0
+    cases = [
+        ("schouten --profile const:c=1 --n 3 --x=0,0,1e300", 0),
+        ("schouten --profile bubble --gauge w --background sphere --n 4 --x=0.5,1e308,0,0", 1),
+        ("schouten --profile const --gauge u --background sphere --n 4 --x=1,0,0,1e154", 2),
+        ("schouten --profile inversion:C=5e-324 --gauge u --n 4 --x=1,0.5,0,0", 2),
+        ("schouten --profile inversion:C=1e-100 --gauge u --n 6 --x=0.3,0.8,0,0,0.7,1.6", 2),
+        ("kelvin --profile const:c=6 --n 4 --x=-1.6,-1e300,-1.4,-1.6", 1),
+        ("kelvin --profile inversion --gauge u --n 5 --x=-0.5,1.5,1.2,1e154,-0.4", 1),
+        ("kelvin --profile bubble:scale=1e150 --gauge u --n 4 --x=-1,1.2,-1.9,-1e-300", 2),
+    ]
+    for argv, code_expected in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        assert code == code_expected and "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert err == "" and not NON_FINITE.search(out), (argv, out)
+            assert [float(v) for v in out.split(",")] == [0.0] * 3, (argv, out)
+
+
 # ---------------------------------------------------------------------------
-# Property tests: every eval/grad/cone/axioms call, and every solve of a config
-# document, ends with a documented exit code
+# Property tests: every eval/grad/cone/axioms/schouten/kelvin call, and every
+# solve of a config document, ends with a documented exit code
 # ---------------------------------------------------------------------------
 
 #: Seconds an example may run before it fails as a hang.
@@ -753,11 +790,50 @@ def cone_descriptors(draw, n):
     return draw(mostly(st.just(text), malformed(text)))
 
 
-@settings(max_examples=300, deadline=None)
+#: Profile parameters far from unit scale, or outside the domain.
+EDGE_PARAMETERS = ("1e-300", "1e-150", "1e-100", "1e-8", "1e8", "1e100", "1e150", "1e300",
+                   "5e-324", "1.7976931348623157e308", "0", "-1", "nan", "inf")
+#: Point coordinates: zeros, huge and tiny entries.
+EDGE_COORDINATES = ("0", "-0", "1e300", "-1e300", "1e154", "1e-154", "1e-300", "-1e-300",
+                    "5e-324", "1.7976931348623157e308")
+
+
+@st.composite
+def profile_descriptors(draw):
+    head, key = draw(st.sampled_from((("const", "c"), ("inversion", "C"), ("bubble", "scale"))))
+    value = draw(mostly(st.floats(0.1, 10.0).map(repr), st.sampled_from(EDGE_PARAMETERS)))
+    text = draw(mostly(st.just(f"{head}:{key}={value}"), st.just(head)))
+    return draw(mostly(st.just(text), malformed(text)))
+
+
+def backgrounds():
+    radius = mostly(st.floats(0.1, 10.0).map(repr), st.sampled_from(EDGE_PARAMETERS))
+    sphere = radius.map(lambda a: f"sphere:a={a}")
+    return mostly(st.sampled_from(("flat", "sphere")) | sphere,
+                  sphere.flatmap(malformed) | st.just("flat:a=1"))
+
+
+def coordinates():
+    return mostly(st.floats(-2.0, 2.0).map(repr), st.sampled_from(EDGE_COORDINATES))
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_cli_exits_with_a_documented_code_on_any_input(data):
     n = data.draw(mostly(st.integers(3, 6), st.integers(0, 9)), label="n")
-    command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms")), label="command")
+    command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms", "schouten",
+                                         "kelvin")), label="command")
+    if command in ("schouten", "kelvin"):
+        size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
+        x = ",".join(data.draw(st.lists(coordinates(), min_size=size, max_size=size),
+                               label="x"))
+        args = ["--profile", data.draw(profile_descriptors(), label="profile"),
+                "--gauge", data.draw(st.sampled_from(conformal.GAUGES), label="gauge"),
+                "--background", data.draw(backgrounds(), label="background"),
+                *data.draw(st.sampled_from((["--x", x], ["--x=" + x])))]
+        fmt = data.draw(st.sampled_from(("text", "json")), label="format")
+        assert_documented_exit([command, *args, "--n", str(n), "--format", fmt])
+        return
     if command == "cone":
         flag, descriptor = "--cone", data.draw(cone_descriptors(max(n, 1)), label="cone")
     else:

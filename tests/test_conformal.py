@@ -1,5 +1,6 @@
 """Conformal algebra: Hessian, Schouten eigenvalues, gauges, Kelvin transform."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,48 @@ def test_kelvin_jet_matches_finite_differences():
     assert val == pytest.approx(fval, rel=1e-12)
     assert np.max(np.abs(grad - fgrad)) < 1e-8
     assert np.max(np.abs(hess - fhess)) < 1e-6
+
+
+def kelvin_reference(n, scale, center, lift, x):
+    """Value, gradient and Hessian of ``|x|^(2-n) v(x / |x|^2)`` at 50 digits, for
+    ``v`` the bubble of ``scale`` about ``center`` plus ``lift``, by ``mpmath.diff``:
+    a route that shares no formula with the chain rule under test."""
+    with mpmath.workdps(50):
+        eps, m, lift = mpmath.mpf(scale), mpmath.mpf(n - 2) / 2, mpmath.mpf(lift)
+        c = [mpmath.mpf(t) for t in center]
+
+        def k(*xs):
+            r2 = mpmath.fsum(t * t for t in xs)
+            q = eps ** 2 + mpmath.fsum((t / r2 - ct) ** 2 for t, ct in zip(xs, c))
+            return r2 ** -m * (eps ** m * q ** -m + lift)
+
+        pt = tuple(mpmath.mpf(t) for t in x)
+        order = lambda *axes: tuple(axes.count(i) for i in range(n))
+        hess = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                hess[i, j] = hess[j, i] = mpmath.diff(k, pt, order(i, j))
+        return (float(k(*pt)), np.array([float(mpmath.diff(k, pt, order(i))) for i in range(n)]),
+                hess)
+
+
+@pytest.mark.parametrize("lift", [0.0, 0.2])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kelvin_jet_matches_a_50_digit_reference(n, lift):
+    # the off-centre bubble, and the bubble plus 0.2 that the benchmark lifts,
+    # at a single point and at a (5, n) batch; 1e-12 relative to the largest
+    # entry of each part, where the finite-difference test allows 1e-6
+    rng = np.random.default_rng(40 + n)
+    center, scale = 0.3 * rng.standard_normal(n), float(rng.uniform(0.3, 2.0))
+    b = cf.bubble_profile(n, scale=scale, center=center)
+    base = cf.RadialProfile(lambda s: b.fun(s) + lift, b.d1, b.d2, n, center=center)
+    k = cf.kelvin(base if lift else b)
+    x = random_points(n, 6, rng)
+    jets = [k.jet(x[0])] + list(zip(*k.jet(x[1:])))
+    for pt, got in zip(x, jets):
+        for part, want in zip(got, kelvin_reference(n, scale, center, lift, pt)):
+            assert np.shape(part) == np.shape(want)
+            assert np.max(np.abs(part - want)) <= 1e-12 * np.max(np.abs(want)), (pt, part, want)
 
 
 def test_kelvin_domain_errors():
@@ -541,3 +584,33 @@ def test_radial_kelvin_checks_the_base_domain():
     assert k.radial_value(1.0) == pytest.approx(0.5, rel=1e-6)
     with pytest.raises(DomainError):
         k.radial_value(0.1)
+
+
+def test_radial_eigenvalues_are_placed_as_the_stable_sort():
+    # schouten_eigs places the two distinct radial eigenvalues instead of sorting
+    # n copies; it must give the bits of the stable sort, signed zeros included
+    signs = set()
+    for n in (3, 4, 5, 6):
+        rng = np.random.default_rng(60 + n)
+        profiles = {
+            "bubble": (cf.bubble_profile(n, scale=0.7, center=np.full(n, 0.1)), True),
+            "inversion": (cf.inversion_profile(n, coefficient=1.3), False),
+            "sphere": (cf.constant_profile(n, 1.0, background=cf.SphereBackground(n, 1.3)),
+                       True),
+            "flat constant": (cf.constant_profile(n, 2.0), True),
+            "kelvin": (cf.kelvin(lifted_bubble(n, 0.8)), False),
+        }
+        for name, (p, at_centre) in profiles.items():
+            pv = cf.flat_equivalent(p)
+            for shape in ((), (5,), (2, 3)):
+                x = pv.center + random_points(n, max(1, int(np.prod(shape))), rng)
+                x = x.reshape(shape + (n,))
+                if shape and at_centre:
+                    x.reshape(-1, n)[0] = pv.center      # s = 0 in a batch: a tie
+                lam_rad, lam_tan = cf.radial_schouten_eigs(pv, cf._norm(x - pv.center))
+                want = np.sort(np.stack([lam_rad] + [lam_tan] * (n - 1), axis=-1), axis=-1)
+                got = cf.schouten_eigs(p, x)
+                assert got.shape == want.shape == shape + (n,), name
+                assert got.tobytes() == want.tobytes(), (name, shape, got, want)
+                signs.update(np.sign(lam_rad - lam_tan).ravel().tolist())
+    assert signs == {-1.0, 0.0, 1.0}
