@@ -8,8 +8,8 @@ constant ``DEFAULT_SEED`` (overridden by the ``CHL_SEED`` environment
 variable or ``--seed``), and floating-point values are serialized with 17
 significant digits so reruns are byte-identical.
 
-Exit codes: 0 success, 1 domain/admissibility error, 2 numeric failure,
-3 usage error.
+Exit codes: 0 success, 1 domain/admissibility error, 2 numeric failure
+(running out of memory included), 3 usage error.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import cones, conformal, diagnostics, radial_solver, symfun
-from .errors import DomainError, NumericError, UsageError, parse_descriptor
+from .errors import _QUIET, DomainError, NumericError, UsageError, parse_descriptor
 
 #: Default sampling seed used when neither --seed nor CHL_SEED is given.
 DEFAULT_SEED = 12345
@@ -95,15 +95,15 @@ def _parse_floats(text, what="list"):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CHL_SEED")
-    if env is not None:
+    seed, source, env = args.seed, "--seed", os.environ.get("CHL_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "CHL_SEED"
         except ValueError as exc:
             raise UsageError(f"CHL_SEED must be an integer, got '{env}'") from exc
-    return DEFAULT_SEED
+    if seed is not None and seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return DEFAULT_SEED if seed is None else seed
 
 
 def _background(args, n):
@@ -213,7 +213,7 @@ def _cmd_kelvin(args):
     prof = _profile(args, args.n)
     transform = conformal.kelvin(prof)
     x = _point(args)
-    with np.errstate(**conformal._QUIET):
+    with np.errstate(**_QUIET):
         val, y = float(transform.value(x)), x / float(x @ x)
     eigs = conformal.schouten_eigs(transform, x)
     src = conformal.schouten_eigs(prof, y)
@@ -289,20 +289,14 @@ def _cmd_bishop_gromov(args):
 
 
 def _cmd_harnack(args):
-    beta = diagnostics.harnack_beta(args.delta, args.n)
+    beta = diagnostics.harnack_beta(args.delta, args.n)     # checked before the file is read
     payload = {"delta": args.delta, "n": args.n, "beta": beta}
     lines = [f"beta = {_fmt(beta)}"]
     if args.samples_file:
-        try:
-            data = np.loadtxt(args.samples_file)
-        except (OSError, ValueError) as exc:    # missing, unreadable or not numbers
-            raise UsageError(f"samples file '{args.samples_file}': {exc}") from exc
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise UsageError("samples file must have point columns plus a value column")
-        seminorm = diagnostics.holder_check(data[:, :-1], data[:, -1], beta)
-        payload["seminorm"] = seminorm
-        payload["samples"] = int(data.shape[0])
-        lines.append(f"sampled Holder seminorm = {_fmt(seminorm)}")
+        data = conformal.load_table(args.samples_file, "samples file")
+        payload = diagnostics.harnack_report(args.delta, args.n, data[:, :-1],
+                                             data[:, -1]).to_dict()
+        lines.append(f"sampled Holder seminorm = {_fmt(payload['seminorm'])}")
     _emit(args, payload, text_lines=lines)
     return 0
 
@@ -400,8 +394,8 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:     # also an input too large for memory
+        print(f"numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -33,18 +33,16 @@ whose Schouten eigenvalues take the closed form of :func:`radial_jet_eigs`.
 :func:`grid_radial_profile`, not with the module.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PositivityError, UsageError, parse_descriptor
+from .errors import (_QUIET, DomainError, NumericError, PositivityError, UsageError,
+                     parse_descriptor)
 
 GAUGES = ("v", "u", "w")
 _EPS = np.finfo(float).eps
-#: Floating-point events ignored where the results are checked for the float range
-#: instead (Schouten eigenvalues here, the monitors and volume ratios in diagnostics),
-#: so that intermediates that leave it raise no warning.
-_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +487,24 @@ def grid_radial_profile(r, v, n, gauge="v", background=None, label="grid"):
                          label=label)
 
 
+def load_table(path, what):
+    """The rows of a text table of two or more columns; a file that is missing,
+    unreadable, empty, not numbers or no such table is a :class:`UsageError`
+    naming it as ``what``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)     # np.loadtxt on an empty file
+            data = np.loadtxt(path)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise UsageError(f"{what} '{path}': {exc}") from exc
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise UsageError(f"{what} '{path}' is not a table of two or more columns")
+    return data
+
+
 def load_radial_profile(path, n, gauge="v", background=None):
     """Load a two-column ``(r, v)`` text file into a radial profile."""
-    try:
-        data = np.loadtxt(path)
-    except (OSError, ValueError) as exc:    # missing, unreadable or not numbers
-        raise UsageError(f"profile file '{path}': {exc}") from exc
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise UsageError(f"profile file '{path}' is not a two-column table")
+    data = load_table(path, "profile file")
     return grid_radial_profile(data[:, 0], data[:, 1], n, gauge=gauge,
                                background=background, label=str(path))
 
@@ -670,6 +678,25 @@ def radial_jet_eigs(n, r, v, v1, v2):
     lam_rad = pref * (((n - 1.0) / (n - 2.0)) * w / v - v2)
     lam_tan = pref * (-tangential_hessian(r, v1, v2) - (1.0 / (n - 2.0)) * w / v)
     return lam_rad, lam_tan
+
+
+def radial_jet_eig_partials(n, r, v, v1, lam_rad, lam_tan):
+    """Partials of :func:`radial_jet_eigs` in ``(v, v', v'')``, given its
+    eigenvalues at the same jet: ``((rad_v, rad_1, rad_2), (tan_v, tan_1, tan_2))``.
+
+    With ``P = (2/(n-2)) v^(-(n+2)/(n-2))`` each eigenvalue is ``P`` times a
+    bracket, so its v-partial is ``-((n+2)/(n-2)) lam / v`` plus ``P`` times the
+    bracket's.  ``lam_tan`` depends on ``v'`` through ``-v'/r`` and not on ``v''``,
+    except at ``r = 0``, where the limit ``v'/r -> v''`` moves that dependence to
+    ``v''``.
+    """
+    pref, w, at_zero = (2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0)), v1 / v, r == 0.0
+    beta, gam, kap = (n + 2.0) / (n - 2.0), (n - 1.0) / (n - 2.0), 1.0 / (n - 2.0)
+    rad = (-beta * lam_rad / v - pref * gam * w ** 2, 2.0 * gam * pref * w, -pref)
+    tan = (-beta * lam_tan / v + pref * kap * w ** 2,
+           -pref * (np.where(at_zero, 0.0, 1.0 / (r + at_zero)) + 2.0 * kap * w),
+           np.where(at_zero, -pref, 0.0))
+    return rad, tan
 
 
 def radial_schouten_eigs(p, r):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .conformal import _QUIET, _norm
-from .errors import DomainError, NumericError
+from .conformal import _norm
+from .errors import _QUIET, DomainError, NumericError
 
 #: Default dense 1-D scan size used by the radial monitor fast paths.
 RADIAL_SCAN = 10001
@@ -389,8 +389,12 @@ def harnack_beta(delta, n):
     return (1.0 - delta * (n - 2)) / (1.0 + delta)
 
 
+@np.errstate(**_QUIET)
 def holder_check(points, values, beta):
-    """Sampled Holder seminorm ``max |w(x) - w(y)| / |x - y|^beta``."""
+    """Sampled Holder seminorm ``max |w(x) - w(y)| / |x - y|^beta``.
+
+    Points and values must be finite (else :class:`DomainError`); a seminorm
+    that leaves the float range raises :class:`NumericError`."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if points.ndim == 1:
@@ -399,13 +403,18 @@ def holder_check(points, values, beta):
         raise DomainError("need >= 2 sample points with matching values")
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
+        raise DomainError("sample points and values must be finite")
     diff = np.abs(values[:, None] - values[None, :])
     dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
     iu = np.triu_indices(points.shape[0], k=1)
     d = dist[iu]
     if np.any(d <= 0.0):
         raise DomainError("pairwise distances must be positive")
-    return float(np.max(diff[iu] / d ** beta))
+    seminorm = float(np.max(diff[iu] / d ** beta))
+    if not np.isfinite(seminorm):
+        raise NumericError("sampled Holder seminorm leaves the float range")
+    return seminorm
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,16 @@
 The split mirrors the CLI exit-code contract: domain/admissibility problems
 (exit 1), numeric failures (exit 2), and usage/config mistakes (exit 3).
 Operator, cone, profile and background descriptors share one grammar,
-parsed by :func:`parse_descriptor` into usage errors.
+parsed by :func:`parse_descriptor` into usage errors.  ``_QUIET`` is the one
+floating-point error state of the package.
 """
 
 import math
+
+#: Floating-point events ignored where the results are checked for the float range
+#: instead (operator values, Schouten eigenvalues, the solver's node state, the
+#: monitors and volume ratios), so that intermediates that leave it raise no warning.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 class ConfhessError(Exception):

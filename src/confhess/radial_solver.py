@@ -6,14 +6,15 @@ central differences.  At each node the radial and tangential Schouten
 eigenvalues are assembled into the tuple ``(lam_rad, lam_tan, .., lam_tan)``
 and the equation enforced is
 
-    f(lam(A^v)) = phi(r) * v^q,      q = p - alpha (n+2)/(n-2),
+    f(lam(A^v)) = rhs * v^q,      q = p - alpha (n+2)/(n-2),
 
-so the natural exponent ``p = alpha (n+2)/(n-2)`` gives ``q = 0`` and
-recovers ``f(lam(A^v)) = phi`` exactly (the remaining v-powers live inside
-the eigenvalues).  Boundary rows carry Dirichlet values; at ``r0 = 0`` a
+with a constant ``rhs > 0``, so the natural exponent ``p = alpha (n+2)/(n-2)``
+gives ``q = 0`` and recovers ``f(lam(A^v)) = rhs`` exactly (the remaining
+v-powers live inside the eigenvalues).  Boundary rows carry Dirichlet values; at ``r0 = 0`` a
 symmetry condition (ghost node ``v[-1] = v[1]``) replaces the left value.
 
 Newton steps use the analytic operator gradient chain-ruled through the
+eigenvalue partials (:func:`conformal.radial_jet_eig_partials`) and the
 stencil, a tridiagonal direct solve, and a backtracking line search that
 halves the damping until a trial keeps every node strictly inside the
 admissibility cone with at least 10% of the previous margin and lowers the
@@ -31,10 +32,9 @@ damping underflow keeps the reasons of its last search in
 
 Each line-search trial makes one pass over the nodes: the stencil and the
 radial and tangential eigenvalues of the trial profile, held in a private
-node state together with the nodes and phi values, which are computed once
-per solve.  The trial's margins and residual read that state, and on
-acceptance so do the Jacobian, which reads the operator's value and partials
-that the residual left there, and the final report.  Node tuples are
+node state together with the nodes.  The trial's margins and residual read
+that state, and on acceptance so do the Jacobian, which reads the operator's
+value and partials that the residual left there, and the final report.  Node tuples are
 two-valued, ``(a, b, .., b)``, so the residual and the Jacobian take the
 operator's value and partials from its closed form on such tuples
 (:meth:`symfun.CurvatureOperator.two_valued`), and a Gamma_k margin needs no
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import cones, conformal, symfun
 from ._lapack import solve_banded
-from .errors import AdmissibilityError, DomainError, NumericError, UsageError
+from .errors import _QUIET, AdmissibilityError, DomainError, NumericError, UsageError
 
 RESIDUAL_TOL = 1e-10
 MAX_NEWTON = 50
@@ -84,12 +84,6 @@ def _finite(x):
 
 def _count(x, least):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
-
-
-def _constant(rhs):
-    if callable(rhs):
-        raise UsageError("only constant rhs values serialize to JSON")
-    return float(rhs)
 
 
 #: The keys of each kind of initial-guess object besides ``kind``, with the
@@ -146,8 +140,8 @@ _FIELDS = (
            lambda d, _: len(d) == 2 and all(map(_finite, d)) and d[1] > d[0] >= 0.0,
            lambda d, n: tuple(d), list),
     _Field(("grid",), "grid", (int,), "an integer >= 16", lambda x, _: _count(x, 16)),
-    _Field(("rhs",), "rhs", _REAL, "finite and > 0, or callable",
-           lambda x, _: callable(x) or _finite(x) and x > 0.0, encode=_constant),
+    _Field(("rhs",), "rhs", _REAL, "finite and > 0", lambda x, _: _finite(x) and x > 0.0,
+           encode=float),
     _Field(("boundary", "left"), "boundary_left", _REAL + (str,),
            'finite and > 0, or "symmetry" when r0 = 0',
            lambda x, cfg: cfg.domain[0] == 0.0 if x == "symmetry" else _finite(x) and x > 0.0),
@@ -155,9 +149,10 @@ _FIELDS = (
            lambda x, _: _finite(x) and x > 0.0),
     _Field(("exponent_p",), "exponent_p", _REAL + (_NULL,), "null or finite",
            lambda x, _: x is None or _finite(x)),
-    _Field(("initial_guess",), "initial_guess", (str, dict), encode=_guess_doc,
-           # an object that is not valid raises a usage error naming its bad key
-           check=lambda x, _: not isinstance(x, dict) or _guess_doc(x) is x),
+    # a guess object that is not valid raises a usage error naming its bad key
+    _Field(("initial_guess",), "initial_guess", (str, dict), "a name, a guess object or an "
+           "array of node values", lambda x, _: isinstance(x, (str, np.ndarray))
+           or isinstance(x, dict) and _guess_doc(x) is x, encode=_guess_doc),
     _Field(("tolerances", "residual"), "residual_tol", _REAL, "finite and > 0",
            lambda x, _: _finite(x) and x > 0.0),
     _Field(("tolerances", "max_newton"), "max_newton", (int,), "an integer >= 1",
@@ -184,13 +179,12 @@ def _leaves(doc, path=()):
 class SolverConfig:
     """Problem description for :func:`newton_solve`.
 
-    ``rhs`` is a positive constant or a callable ``phi(r)``;
-    ``boundary_left`` is a positive value or ``"symmetry"`` (requires
-    ``r0 = 0``); ``initial_guess`` accepts ``"geometric"``, a catalog
-    profile descriptor (optionally via a dict with a ``sin_amplitude``
-    perturbation, even about r0 at a symmetry boundary), an explicit array of
-    node values, a radial profile object, or a callable of r.  Every field
-    is checked on construction as its row of ``_FIELDS`` says.
+    ``rhs`` is a finite constant > 0; ``boundary_left`` is a positive value or
+    ``"symmetry"`` (requires ``r0 = 0``); ``initial_guess`` accepts
+    ``"geometric"``, a catalog profile descriptor (optionally via a dict with a
+    ``sin_amplitude`` perturbation, even about r0 at a symmetry boundary) or
+    an explicit array of node values.  Every field is checked on construction
+    as its row of ``_FIELDS`` says.
     """
 
     operator: object
@@ -235,13 +229,6 @@ class SolverConfig:
     def nodes(self):
         r0, r1 = self.domain
         return np.linspace(r0, r1, self.grid + 1)
-
-    def phi_values(self, r):
-        phi = self.rhs(r) if callable(self.rhs) else np.full_like(r, float(self.rhs))
-        phi = np.asarray(phi, dtype=float)
-        if not np.all(phi > 0.0):
-            raise DomainError("rhs phi must be positive on the grid")
-        return phi
 
     def to_dict(self):
         doc = {}
@@ -370,22 +357,20 @@ def node_eigentuples(cfg, v):
 
 
 #: One pass over the nodes of a profile: the stencil's ``(r, h, v1, v2)``, the
-#: radial and tangential eigenvalues, the solve's phi values (None until they are
-#: needed) and the operator's ``two_valued`` triple ``(f, f_a, f_b)`` there, which
-#: :func:`residual` computes and :func:`jacobian` reads.
+#: radial and tangential eigenvalues and the operator's ``two_valued`` triple
+#: ``(f, f_a, f_b)`` there, which :func:`residual` computes and :func:`jacobian` reads.
 _Nodes = dataclasses.make_dataclass(
-    "_Nodes", ["r", "h", "v1", "v2", "lam_rad", "lam_tan", ("phi", object, None),
-               ("pair", object, None)])
+    "_Nodes", ["r", "h", "v1", "v2", "lam_rad", "lam_tan", ("pair", object, None)])
 
 
-def _nodes(cfg, v, r, phi=None):
+def _nodes(cfg, v, r):
     r, h, v1, v2 = _stencil(cfg, v, r)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return _Nodes(r, h, v1, v2, *conformal.radial_jet_eigs(cfg.n, r, v, v1, v2), phi)
+    with np.errstate(**_QUIET):
+        return _Nodes(r, h, v1, v2, *conformal.radial_jet_eigs(cfg.n, r, v, v1, v2))
 
 
 def residual(cfg, v, *, nodes=None):
-    """Nonlinear residual; PDE rows carry ``f(lam) - phi v^q``, boundary rows
+    """Nonlinear residual; PDE rows carry ``f(lam) - rhs v^q``, boundary rows
     the Dirichlet defects.  ``f`` is the operator's ``two_valued`` value at the
     nodes' radial and tangential eigenvalues.  Nodes where the operator formula
     is undefined (eigenvalues outside its domain) yield NaN entries; use
@@ -396,12 +381,10 @@ def residual(cfg, v, *, nodes=None):
     if v.shape != (cfg.grid + 1,):
         raise DomainError(f"profile must have {cfg.grid + 1} nodes")
     st = nodes or _nodes(cfg, v, cfg.nodes())
-    phi = cfg.phi_values(st.r) if st.phi is None else st.phi
     if st.pair is None:
         st.pair = cfg.operator.two_valued(st.lam_rad, st.lam_tan)
-    f = st.pair[0]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        res = f - phi * v ** cfg.q
+    with np.errstate(**_QUIET):
+        res = st.pair[0] - cfg.rhs * v ** cfg.q
     if cfg.boundary_left != "symmetry":
         res[0] = v[0] - float(cfg.boundary_left)
     res[-1] = v[-1] - cfg.boundary_right
@@ -432,54 +415,37 @@ def admissibility_margins(cfg, v, *, nodes=None):
     return out
 
 
+@np.errstate(**_QUIET)     # newton_solve checks the entries for the float range
 def jacobian(cfg, v, *, nodes=None):
     """Analytic Jacobian of :func:`residual` in banded (1, 1) storage.
 
-    The operator enters through ``two_valued`` at the nodes' radial and
-    tangential eigenvalues: ``f_rad`` is its partial in ``lam_rad`` and
-    ``f_tan`` the sum of its n-1 partials in the tangential entries."""
+    A PDE row is ``F(v_i, v'_i, v''_i)``: the operator's ``two_valued`` partials
+    at the node's radial and tangential eigenvalues (``f_rad`` in ``lam_rad``,
+    ``f_tan`` the sum of the n-1 tangential ones), times the eigenvalues'
+    partials (:func:`conformal.radial_jet_eig_partials`), less the rhs term's.
+    ``v'`` and ``v''`` take their neighbour weights from the central stencil;
+    the symmetry row's ghost node ``v[-1] = v[1]`` makes them ``0`` and ``2/h^2``."""
     v = np.asarray(v, dtype=float)
     st = nodes or _nodes(cfg, v, cfg.nodes())
-    r, h, v1, v2, lam_rad, lam_tan = st.r, st.h, st.v1, st.v2, st.lam_rad, st.lam_tan
-    n, m = cfg.n, v.size
-    _, f_rad, f_tan = st.pair or cfg.operator.two_valued(lam_rad, lam_tan)
-    phi = cfg.phi_values(r) if st.phi is None else st.phi
-    q = cfg.q
+    h, q = st.h, cfg.q
+    _, f_rad, f_tan = st.pair or cfg.operator.two_valued(st.lam_rad, st.lam_tan)
+    rad, tan = conformal.radial_jet_eig_partials(cfg.n, st.r, v, st.v1, st.lam_rad, st.lam_tan)
+    up_1, up_2 = np.full(v.size, 0.5 / h), np.full(v.size, 1.0 / h ** 2)
+    up_1[0], up_2[0] = 0.0, 2.0 / h ** 2
 
-    beta = (n + 2.0) / (n - 2.0)
-    gam = (n - 1.0) / (n - 2.0)
-    kap = 1.0 / (n - 2.0)
-    pref = (2.0 / (n - 2.0)) * v ** -beta
+    def by_node(d_v, d_1, d_2):
+        """An eigenvalue's partials in v[i+1], v[i] and v[i-1], through the stencil."""
+        return (d_1 * up_1 + d_2 * up_2, d_v + d_2 * (-2.0 / h ** 2),
+                d_1 * (-0.5 / h) + d_2 * (1.0 / h ** 2))
 
-    diag = np.zeros(m)
-    upper = np.zeros(m)   # J[i, i+1] stored at upper[i]
-    lower = np.zeros(m)   # J[i, i-1] stored at lower[i]
-
-    i = slice(1, -1)
-    ri = r[i]
-    drad_c = -beta * lam_rad[i] / v[i] + pref[i] * (2.0 / h ** 2 - gam * v1[i] ** 2 / v[i] ** 2)
-    dtan_c = -beta * lam_tan[i] / v[i] + pref[i] * (kap * v1[i] ** 2 / v[i] ** 2)
-    drad_p = pref[i] * (-1.0 / h ** 2 + gam * v1[i] / (h * v[i]))
-    drad_m = pref[i] * (-1.0 / h ** 2 - gam * v1[i] / (h * v[i]))
-    dtan_p = pref[i] * (-1.0 / (2.0 * h * ri) - kap * v1[i] / (h * v[i]))
-    dtan_m = pref[i] * (1.0 / (2.0 * h * ri) + kap * v1[i] / (h * v[i]))
-    diag[i] = f_rad[i] * drad_c + f_tan[i] * dtan_c - q * phi[i] * v[i] ** (q - 1.0)
-    upper[i] = f_rad[i] * drad_p + f_tan[i] * dtan_p
-    lower[i] = f_rad[i] * drad_m + f_tan[i] * dtan_m
-
-    if cfg.boundary_left == "symmetry":
-        dlam_c = -beta * lam_rad[0] / v[0] + pref[0] * (2.0 / h ** 2)
-        dlam_p = pref[0] * (-2.0 / h ** 2)
-        diag[0] = (f_rad[0] + f_tan[0]) * dlam_c - q * phi[0] * v[0] ** (q - 1.0)
-        upper[0] = (f_rad[0] + f_tan[0]) * dlam_p
-    else:
-        diag[0] = 1.0
-    diag[-1] = 1.0
-
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    upper, diag, lower = (f_rad * a + f_tan * b for a, b in zip(by_node(*rad), by_node(*tan)))
+    ab = np.zeros((3, v.size))
+    ab[0, 1:] = upper[:-1]      # J[i, i+1] at ab[0, i+1]
+    ab[1] = diag - q * cfg.rhs * v ** (q - 1.0)
+    ab[2, :-1] = lower[1:]      # J[i, i-1] at ab[2, i-1]
+    if cfg.boundary_left != "symmetry":
+        ab[0, 1], ab[1, 0] = 0.0, 1.0
+    ab[1, -1], ab[2, -2] = 1.0, 0.0
     return ab
 
 
@@ -506,10 +472,6 @@ def initial_vector(cfg):
                 v0 = v0 * (1.0 + amp * bump)
         else:
             v0 = np.asarray(guess["values"], dtype=float)
-    elif isinstance(guess, conformal.RadialProfile):
-        v0 = np.asarray(guess.radial_value(r), dtype=float)
-    elif callable(guess):
-        v0 = np.asarray(guess(r), dtype=float)
     else:
         v0 = np.asarray(guess, dtype=float)
     if v0.shape != r.shape:
@@ -544,7 +506,6 @@ def newton_solve(cfg, iterate_hook=None):
         bad = int(np.argmax(~(margins < 0.0)))
         raise AdmissibilityError(
             f"initial guess inadmissible at node {bad} (r = {r[bad]:g})", node=bad)
-    st.phi = cfg.phi_values(r)
     res = residual(cfg, v, nodes=st)
     norm = float(np.max(np.abs(res)))
     margin_min = float(np.min(-margins))
@@ -583,7 +544,7 @@ def newton_solve(cfg, iterate_hook=None):
             v_try = v + s * delta
             reason = None if np.all(v_try > 0.0) else "positivity"
             if reason is None:
-                st_try = _nodes(cfg, v_try, r, st.phi)
+                st_try = _nodes(cfg, v_try, r)
                 m_try = admissibility_margins(cfg, v_try, nodes=st_try)
                 if not (np.all(np.isfinite(m_try)) and np.all(m_try < 0.0)):
                     reason = "margin"
@@ -666,16 +627,15 @@ class ConvergenceStudy:
 def convergence_study(cfg, refinements, exact):
     """Solve on ``cfg.grid, 2x, 4x, ..`` grids and compare against ``exact``.
 
-    ``exact`` is a radial profile or a callable of r.  Non-convergence at
-    any level raises :class:`NumericError` carrying the offending report.
+    ``exact`` is a radial profile.  Non-convergence at any level raises
+    :class:`NumericError` carrying the offending report.
     """
     if refinements < 1:
         raise DomainError("need at least one refinement level")
-    fn = exact.radial_value if isinstance(exact, conformal.RadialProfile) else exact
     levels = []
     for i in range(refinements):
         level_cfg = dataclasses.replace(cfg, grid=cfg.grid * 2 ** i)
         out = _converged(level_cfg, f"grid {level_cfg.grid}")
-        sup = float(np.max(np.abs(out.v - np.asarray(fn(out.r), dtype=float))))
+        sup = float(np.max(np.abs(out.v - np.asarray(exact.radial_value(out.r), dtype=float))))
         levels.append((level_cfg.grid, sup))
     return ConvergenceStudy(levels=levels)

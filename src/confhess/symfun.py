@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _poly, cones
-from .errors import AdmissibilityError, DomainError, NumericError, parse_descriptor
+from .errors import _QUIET, AdmissibilityError, DomainError, NumericError, parse_descriptor
 
 #: Type used for eigenvalue tuples throughout the package: the trailing axis
 #: holds the n eigenvalues; leading axes are broadcast batch axes.
@@ -63,8 +63,6 @@ CONCAVITY_TOL = 1e-12       # relative to max(|f(lam)|, |f(mu)|), axiom f3
 PERMUTATION_TOL = 1e-14     # relative, axiom f4
 ORTHOGONAL_TOL = 1e-9       # relative, invariance under conjugation
 BOUNDARY_DECAY = 0.5        # required decay factor approaching the boundary
-
-_QUIET = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 
 def as_eigentuple(values, n=None):

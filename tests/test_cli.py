@@ -406,6 +406,20 @@ def test_harnack_beta_and_seminorm(tmp_path, capsys):
     assert json.loads(out)["seminorm"] > 0.0
 
 
+@pytest.mark.parametrize("rows, code, message", [
+    ("0 1\n1 nan\n2 3\n", 1, "error: sample points and values must be finite\n"),
+    ("0 1\ninf 2\n2 3\n", 1, "error: sample points and values must be finite\n"),
+    ("0 1e308\n1 -1e308\n", 2, "numeric failure: sampled Holder seminorm leaves the float "
+                               "range\n"),
+], ids=["nan", "inf", "huge"])
+def test_harnack_samples_report_no_nan_or_inf_as_success(tmp_path, capsys, rows, code, message):
+    # these once printed "seminorm = nan" or "= inf" with exit 0 and a RuntimeWarning
+    table = tmp_path / "w.txt"
+    table.write_text(rows)
+    assert run(capsys, "harnack", "--delta", "0.25", "--n", "4",
+               "--samples-file", str(table)) == (code, "", message)
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg_path = write_bubble_config(tmp_path)
     code, out, _ = run(capsys, "solve", "--config", str(cfg_path), "--grid", "32",
@@ -439,6 +453,21 @@ def test_missing_input_file_is_a_usage_error(capsys, monkeypatch, tmp_path, argv
     assert err.startswith("usage error: ") and "'nope.txt'" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ("schouten", "--n", "4", "--x", "1,0,0,0", "--profile-file"),
+    ("harnack", "--delta", "0.25", "--n", "4", "--samples-file"),
+], ids=["profile-file", "samples-file"])
+def test_empty_input_file_is_a_usage_error_without_a_warning(capsys, tmp_path, argv):
+    # np.loadtxt warns on a file that holds no data
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, str(empty))
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and "no data" in err and err.count("\n") == 1, err
+
+
 def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, "harnack", "--delta", "0.25", "--n", "4", "--out", str(target))
@@ -460,21 +489,54 @@ CHILD_ADDRESS_SPACE = 1 << 30
 CHILD_SECONDS = 60
 
 
-@pytest.mark.parametrize("radii", ["nan", "0.5,inf"])
-def test_bishop_gromov_at_non_finite_radii_is_a_domain_error(radii):
-    # A regression ran out of memory here, so the CLI runs in a child process
-    # whose address space is capped, under a timeout.
+def run_capped(argv):
+    """The CLI run on ``argv`` in a child process whose address space is capped,
+    under a timeout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     child = ("import resource, sys\n"
              f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2)\n"
              "from confhess import cli\n"
              "sys.exit(cli.main(sys.argv[1:]))\n")
-    argv = ["bishop-gromov", "--profile", "bubble:scale=1", "--n", "4", f"--radii={radii}"]
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
                           env=env, timeout=CHILD_SECONDS, check=False)
+
+
+@pytest.mark.parametrize("radii", ["nan", "0.5,inf"])
+def test_bishop_gromov_at_non_finite_radii_is_a_domain_error(radii):
+    # A regression ran out of memory here, so the CLI runs in a capped child.
+    proc = run_capped(["bishop-gromov", "--profile", "bubble:scale=1", "--n", "4",
+                       f"--radii={radii}"])
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr == "error: radii must be finite and positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid"],
+    ["inclusion", "--k", "2", "--n", "4", "--samples"],
+    ["axioms", "--op", "sigma-root:k=2", "--n", "4", "--samples"],
+    ["monitor", "--profile", "bubble:scale=1", "--n", "4", "--radius", "1", "--samples"],
+], ids=["solve", "inclusion", "axioms", "monitor"])
+def test_inputs_too_large_for_memory_are_a_numeric_failure(tmp_path, argv):
+    # Only ever in the capped child: without the cap the allocation of 80 GB
+    # may succeed lazily and exhaust the machine's memory.
+    if argv[0] == "solve":
+        argv = [*argv[:1], "--config", str(write_bubble_config(tmp_path)), *argv[1:]]
+    proc = run_capped([*argv, "10000000000"])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+
+
+def test_negative_seed_is_a_usage_error_naming_its_source(capsys, monkeypatch):
+    code, out, err = run(capsys, "axioms", "--op", "sigma-root:k=2", "--n", "4",
+                         "--samples", "10", "--seed", "-1")
+    assert (code, out, err) == (3, "", "usage error: --seed must be a non-negative "
+                                       "integer, got -1\n")
+    monkeypatch.setenv("CHL_SEED", "-5")
+    code, out, err = run(capsys, "inclusion", "--k", "2", "--n", "4", "--samples", "10")
+    assert (code, out, err) == (3, "", "usage error: CHL_SEED must be a non-negative "
+                                       "integer, got -5\n")
 
 
 def test_seed_environment_variable(tmp_path, capsys, monkeypatch):
@@ -690,8 +752,8 @@ def test_schouten_and_kelvin_far_from_unit_scale_warn_nothing(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Property tests: every eval/grad/cone/axioms/schouten/kelvin call, and every
-# solve of a config document, ends with a documented exit code
+# Property tests: every eval/grad/cone/axioms/inclusion/schouten/kelvin/harnack
+# call, and every solve of a config document, ends with a documented exit code
 # ---------------------------------------------------------------------------
 
 #: Seconds an example may run before it fails as a hang.
@@ -817,12 +879,42 @@ def coordinates():
     return mostly(st.floats(-2.0, 2.0).map(repr), st.sampled_from(EDGE_COORDINATES))
 
 
+def samples_files(directory):
+    """No arguments, or ``--samples-file`` of drawn rows written under ``directory``:
+    mostly a point and a value, else one to three numbers."""
+    pairs = st.tuples(numbers(), numbers()).map(" ".join)
+    rows = st.lists(mostly(pairs, st.lists(numbers(), min_size=1, max_size=3).map(" ".join)),
+                    max_size=6)
+
+    def write(lines):
+        path = directory / "drawn_samples.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        return ["--samples-file", str(path)]
+
+    return st.just([]) | rows.map(write)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_cli_exits_with_a_documented_code_on_any_input(data):
+def test_cli_exits_with_a_documented_code_on_any_input(tmp_path_factory, data):
     n = data.draw(mostly(st.integers(3, 6), st.integers(0, 9)), label="n")
     command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms", "schouten",
-                                         "kelvin")), label="command")
+                                         "kelvin", "inclusion", "harnack")), label="command")
+    fmt = data.draw(st.sampled_from(("text", "json")), label="format")
+    if command == "inclusion":
+        k = data.draw(mostly(st.integers(1, max(n, 1)), st.integers(-1, 9)), label="k")
+        samples = data.draw(mostly(st.integers(1, 2000), st.integers(-2, 0)), label="samples")
+        seed = data.draw(mostly(st.integers(0, 2 ** 64) | st.just(None), st.integers(-9, -1)),
+                         label="seed")
+        assert_documented_exit([command, "--k", str(k), "--n", str(n), "--samples", str(samples),
+                                *([] if seed is None else ["--seed", str(seed)]),
+                                "--format", fmt])
+        return
+    if command == "harnack":
+        flag = data.draw(samples_files(tmp_path_factory.getbasetemp()), label="samples file")
+        assert_documented_exit([command, "--delta", data.draw(deltas(), label="delta"),
+                                "--n", str(n), *flag, "--format", fmt])
+        return
     if command in ("schouten", "kelvin"):
         size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
         x = ",".join(data.draw(st.lists(coordinates(), min_size=size, max_size=size),
@@ -831,7 +923,6 @@ def test_cli_exits_with_a_documented_code_on_any_input(data):
                 "--gauge", data.draw(st.sampled_from(conformal.GAUGES), label="gauge"),
                 "--background", data.draw(backgrounds(), label="background"),
                 *data.draw(st.sampled_from((["--x", x], ["--x=" + x])))]
-        fmt = data.draw(st.sampled_from(("text", "json")), label="format")
         assert_documented_exit([command, *args, "--n", str(n), "--format", fmt])
         return
     if command == "cone":
@@ -846,7 +937,6 @@ def test_cli_exits_with_a_documented_code_on_any_input(data):
         lam = ",".join(data.draw(st.lists(numbers(), min_size=size, max_size=size),
                                  label="lambda"))
         args = data.draw(st.sampled_from((["--lambda", lam], ["--lambda=" + lam])))
-    fmt = data.draw(st.sampled_from(("text", "json")), label="format")
     assert_documented_exit([command, flag, descriptor, "--n", str(n), *args, "--format", fmt])
 
 

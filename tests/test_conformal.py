@@ -351,6 +351,21 @@ def test_radial_origin_limit():
     assert lr == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_radial_jet_eig_partials_match_central_differences(n):
+    # jets at r = 0 too, where lam_tan reads v'' for v'/r, also with v' != 0
+    r = np.array([0.0, 0.0, 0.3, 1.7])
+    jet = np.array([[0.8, 0.0, -1.1], [1.3, 0.4, -0.7], [0.9, -0.5, 0.2], [2.1, 0.3, -0.9]]).T
+    partials = cf.radial_jet_eig_partials(n, r, jet[0], jet[1], *cf.radial_jet_eigs(n, r, *jet))
+    h = 1e-6
+    for i in range(3):
+        e = np.zeros((3, 1))
+        e[i] = h
+        up, down = cf.radial_jet_eigs(n, r, *(jet + e)), cf.radial_jet_eigs(n, r, *(jet - e))
+        for got, hi, lo in zip(partials, up, down):
+            assert np.allclose(got[i], (hi - lo) / (2 * h), rtol=1e-7, atol=1e-7), (n, i)
+
+
 def test_radial_grid_profile_second_order():
     n = 4
     exact = cf.bubble_profile(n)

@@ -146,8 +146,7 @@ def two_valued_margins(n, k, a, b):
     cone = cones.GammaK(n, k)
     cfg = rs.SolverConfig(operator=symfun.SigmaKRoot(n=n, k=1), domain=(0.1, 2.0), grid=16,
                           rhs=1.0, boundary_left=1.0, boundary_right=1.0, cone=cone)
-    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1],
-                      phi=None)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1])
     return rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes), cones.boundary_shift(cone, lam)
 
 
@@ -188,8 +187,7 @@ def test_margins_of_non_finite_node_tuples_are_nan(cone):
     cfg = bubble_cfg(cone=cones.parse_cone(cone, N_DIM))
     lam = np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [-np.inf, np.inf], [2.0, 1.0]])
     lam = np.repeat(lam, [1, N_DIM - 1], axis=1)
-    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1],
-                      phi=None)
+    nodes = rs._Nodes(r=None, h=None, v1=None, v2=None, lam_rad=lam[:, 0], lam_tan=lam[:, 1])
     with np.errstate(all="raise"):
         out = rs.admissibility_margins(cfg, lam[:, 0], nodes=nodes)
     assert np.all(np.isnan(out[:-1])) and out[-1] < 0.0
@@ -355,7 +353,7 @@ def test_newton_evaluates_the_operator_once_per_residual(monkeypatch):
     out = rs.newton_solve(cfg)
     assert out.converged and calls["residual"] > out.newton_steps
     assert calls["two_valued"] == calls["residual"]
-    st = rs._nodes(cfg, out.v, out.r, cfg.phi_values(out.r))
+    st = rs._nodes(cfg, out.v, out.r)
     rs.residual(cfg, out.v, nodes=st)
     assert st.pair is not None
     assert np.array_equal(rs.jacobian(cfg, out.v, nodes=st), rs.jacobian(cfg, out.v))
@@ -509,7 +507,7 @@ def test_gauge_sanity_of_converged_solution():
     out = rs.newton_solve(cfg)
     assert out.converged
     r_in = out.r[1:-1]
-    phi = cfg.phi_values(r_in)
+    phi = cfg.rhs
     for gauge in ("u", "w"):
         prof = out.profile(gauge=gauge)
         lam_rad, lam_tan = cf.radial_schouten_eigs(prof, r_in)
@@ -607,6 +605,15 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         rs.SolverConfig(operator=op, domain=(0.1, 2.0), grid=32, rhs=1.0,
                         boundary_left=1.0, boundary_right=-1.0)
+
+
+def test_callable_rhs_or_guess_is_a_domain_error_naming_the_field():
+    # rhs is one constant, and a guess is a name, a guess object or node values
+    with pytest.raises(DomainError, match="^rhs must be finite and > 0"):
+        dataclasses.replace(bubble_cfg(grid=32), rhs=lambda r: 1.0 + r)
+    for guess in (lambda r: 1.0 + r, cf.bubble_profile(N_DIM)):
+        with pytest.raises(DomainError, match="^initial_guess must be a name"):
+            dataclasses.replace(bubble_cfg(grid=32), initial_guess=guess)
 
 
 def test_unreadable_config_file_is_a_usage_error(tmp_path):
