@@ -8,9 +8,13 @@ The kernels run column-major: the coefficients live in contiguous planes of
 shape ``(k + 1, ...)``, each eigenvalue column is copied at most once into a
 contiguous array of the batch shape, and every update is one contiguous
 elementwise call over the whole batch.  Results are returned as
-trailing-axis views ``(..., k + 1)`` of those planes.  :func:`sort_rows`
+trailing-axis views ``(..., k + 1)`` of those planes.  The planes of degree
+0 hold the constant 1 (``e_0 = h_0 = 1``, with the jet (1, 0, 0)): the
+recurrences add the column to the plane of degree 1 instead of multiplying
+it by them, which changes no bit of a finite result.  :func:`sort_rows`
 sorts by a comparator network on the columns, :func:`stable_ranks` gives the
-permutation back from pairwise column compares, and
+permutation back from pairwise column compares, :func:`unsort` gathers
+values of the sorted rows back by one flat ``np.take``, and
 :func:`elementary_sweep` differentiates the product recurrence by one
 forward and one backward pass.
 
@@ -56,8 +60,8 @@ def _by_row_blocks(fn, *arrays):
     out = None
     for start in range(0, rows, size):
         part = fn(*(a[start:start + size] for a in flat))
-        if out is None:
-            out = np.empty((rows,) + part.shape[1:], dtype=part.dtype)
+        if out is None:     # in the memory order of the blocks, so each copies as one
+            out = np.empty_like(part, shape=(rows,) + part.shape[1:])
         out[start:start + size] = part
     return out.reshape(lead + out.shape[1:])
 
@@ -159,6 +163,19 @@ def stable_ranks(lam):
     return rank.T.reshape(lam.shape)
 
 
+def unsort(g, lam):
+    """``g``, whose rows belong to ``sort_rows(lam)``, back in the column order of
+    ``lam``: bitwise ``np.take_along_axis(g, stable_ranks(lam), -1)``.
+
+    One flat ``np.take`` on the columns of ``g`` (contiguous when ``g`` is F-ordered,
+    as the column-major kernels return it), at the flat indices ``rank * rows +
+    row``; the result is F-ordered."""
+    n, rows = lam.shape[-1], math.prod(lam.shape[:-1])
+    flat = np.multiply(stable_ranks(lam).reshape(rows, n).T, rows, dtype=np.intp)
+    flat += np.arange(rows)
+    return np.take(g.reshape(rows, n).T, flat).T.reshape(lam.shape)
+
+
 def elementary_all(lam, k):
     """Elementary symmetric polynomials ``e_0 .. e_k`` of the trailing axis.
 
@@ -182,9 +199,11 @@ def elementary_all(lam, k):
     _check_degree(k, lam.shape[-1])
     coef = np.zeros((k + 1,) + lam.shape[:-1])
     coef[0] = 1.0
-    for j in range(lam.shape[-1]):
-        top = min(j + 1, k)
-        coef[1:top + 1] += np.ascontiguousarray(lam[..., j]) * coef[0:top]
+    for j in range(lam.shape[-1] if k else 0):
+        # e_1 gains x * e_0 = x itself, after the planes above it have read e_1
+        x = np.ascontiguousarray(lam[..., j])
+        coef[2:min(j + 1, k) + 1] += x * coef[1:min(j, k - 1) + 1]
+        coef[1:2] += x
     return np.moveaxis(coef, 0, -1)
 
 
@@ -210,31 +229,34 @@ def elementary_sweep(lam, k, degrees):
     rows = lam.reshape(-1, n)
     cols = [np.ascontiguousarray(rows[:, j]) for j in range(n)]
     top = max(degrees)
+    # the planes of degree 0 hold 1: their products are skipped, and suffix[:, 0]
+    # is never read
     suffix = np.zeros((n, top + 1, rows.shape[0]))
-    suffix[:, 0] = 1.0
     for i in range(n - 2, -1, -1):
         t = min(n - 1 - i, top)
-        np.multiply(cols[i + 1], suffix[i + 1, :t], out=suffix[i, 1:t + 1])
-        suffix[i, 1:t + 1] += suffix[i + 1, 1:t + 1]
+        if t:
+            np.multiply(cols[i + 1], suffix[i + 1, 1:t], out=suffix[i, 2:t + 1])
+            suffix[i, 2:t + 1] += suffix[i + 1, 2:t + 1]
+            np.add(cols[i + 1], suffix[i + 1, 1], out=suffix[i, 1])
     coef = np.zeros((k + 1, rows.shape[0]))
     coef[0] = 1.0
     out = np.empty((len(degrees), n, rows.shape[0]))
     for i in range(n):
         for d, m in enumerate(degrees):
-            # prefix_i has i entries and suffix_i n - 1 - i, so the other terms
-            # vanish; the planes of degree 0 hold 1, so their products are skipped
+            # prefix_i has i entries and suffix_i n - 1 - i, so the other terms vanish
             first, *rest = [coef[a] if a == m else suffix[i, m] if a == 0
                             else coef[a] * suffix[i, m - a]
                             for a in range(max(0, m - (n - 1 - i)), min(i, m) + 1)]
             out[d, i] = first
             for term in rest:
                 out[d, i] += term
-        t = min(i + 1, k)
-        coef[1:t + 1] += cols[i] * coef[0:t]
+        coef[2:min(i + 1, k) + 1] += cols[i] * coef[1:min(i, k - 1) + 1]
+        coef[1] += cols[i]
     for i in range(1, n):
         tie = cols[i] == cols[i - 1]
-        for plane in out:
-            np.copyto(plane[i], plane[i - 1], where=tie)
+        if np.any(tie):
+            for plane in out:
+                np.copyto(plane[i], plane[i - 1], where=tie)
     return coef.T.reshape(lam.shape[:-1] + (k + 1,)), [plane.T.reshape(lam.shape) for plane in out]
 
 
@@ -253,13 +275,16 @@ def elementary_jet(lam, b, k):
     _check_degree(k, lam.shape[-1])
     c = np.zeros((3, k + 1) + lam.shape[:-1])
     c[0, 0] = 1.0
-    for j in range(lam.shape[-1]):
-        top = min(j + 1, k)
-        lo = c[:, 0:top]
-        # (x + s y)(c0 + c1 s + c2 s^2) = x c0 + (x c1 + y c0) s + (x c2 + y c1) s^2
-        step = np.ascontiguousarray(lam[..., j]) * lo
-        step[1:] += np.ascontiguousarray(b[..., j]) * lo[:-1]
-        c[:, 1:top + 1] += step
+    for j in range(lam.shape[-1] if k else 0):
+        x, y = np.ascontiguousarray(lam[..., j]), np.ascontiguousarray(b[..., j])
+        lo = c[:, 1:min(j, k - 1) + 1]
+        # (x + s y)(c0 + c1 s + c2 s^2) = x c0 + (x c1 + y c0) s + (x c2 + y c1) s^2,
+        # and e_0's jet (1, 0, 0) adds (x, y, 0) to e_1's
+        step = x * lo
+        step[1:] += y * lo[:-1]
+        c[:, 2:min(j + 1, k) + 1] += step
+        c[0, 1:2] += x
+        c[1, 1:2] += y
     return tuple(np.moveaxis(c, 1, -1))
 
 
@@ -281,9 +306,12 @@ def complete_jets(x, k):
     jets = x.shape[0]
     h = np.zeros((jets, k + 1) + x.shape[1:-1])
     h[0, 0] = 1.0
-    for i in range(x.shape[-1]):
+    for i in range(x.shape[-1] if k else 0):
         xi = [np.ascontiguousarray(x[q, ..., i]) for q in range(jets)]
-        for m in range(1, k + 1):
+        # h_0's jet is (1, 0, ..): h_1 gains x itself
+        for q in range(jets):
+            h[q, 1:2] += xi[q]
+        for m in range(2, k + 1):
             # (x0 + x1 s + ..)(p0 + p1 s + ..): x_q times the planes of h_(m-1)
             # added to the planes q.. of h_m, one jet order of x at a time
             for q in range(jets):

@@ -394,7 +394,10 @@ def holder_check(points, values, beta):
     """Sampled Holder seminorm ``max |w(x) - w(y)| / |x - y|^beta``.
 
     Points and values must be finite (else :class:`DomainError`); a seminorm
-    that leaves the float range raises :class:`NumericError`."""
+    that leaves the float range raises :class:`NumericError`.  Each distance is
+    taken as ``2^e |(x - y) / 2^e|`` with ``max |(x - y) / 2^e|`` in [1/2, 1), so
+    that no square in it overflows or underflows; pairs whose difference
+    overflows are differenced halved."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if points.ndim == 1:
@@ -405,13 +408,16 @@ def holder_check(points, values, beta):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
         raise DomainError("sample points and values must be finite")
-    diff = np.abs(values[:, None] - values[None, :])
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    iu = np.triu_indices(points.shape[0], k=1)
-    d = dist[iu]
+    i, j = np.triu_indices(points.shape[0], k=1)
+    diff = points[i] - points[j]
+    half = ~np.all(np.isfinite(diff), axis=-1)
+    diff[half] = 0.5 * points[i[half]] - 0.5 * points[j[half]]
+    e = np.frexp(np.max(np.abs(diff), axis=-1))[1]
+    d = np.linalg.norm(np.ldexp(diff, -e[:, None]), axis=-1)
     if np.any(d <= 0.0):
         raise DomainError("pairwise distances must be positive")
-    seminorm = float(np.max(diff[iu] / d ** beta))
+    seminorm = float(np.max(np.abs(values[i] - values[j])
+                            / (d ** beta * np.exp2((e + half) * beta))))
     if not np.isfinite(seminorm):
         raise NumericError("sampled Holder seminorm leaves the float range")
     return seminorm

@@ -19,17 +19,21 @@ homogeneous of degree ``alpha`` (degree 1 throughout this catalog).
 :func:`verify_axioms` spot-checks all of these on random cone samples.
 
 A family supplies formulas only, as the hooks of :class:`CurvatureOperator`;
-the base class sorts the tuples, hands them to the hooks in row blocks,
-rescues rows whose intermediates leave the float range, scatters gradients
-back, and reports where f is smooth (``is_smooth_at``).  Sorting is a
-comparator network on the columns (:func:`_poly.sort_rows`), and every row
-reduction runs over the columns (:func:`_poly.reduce_columns`), so values and
-gradients are bitwise permutation symmetric and independent of the memory
-layout of the input.  Gradients are gathered back through the stable ranks of
-the entries (:func:`_poly.stable_ranks`).  The sigma_k families take every
-partial derivative from one prefix-suffix sweep of the product recurrence
-(:func:`_poly.elementary_sweep`), and ``InvMonomialSum`` runs the complete
-homogeneous recurrence (:func:`_poly.complete_jets`).
+the base class hands the tuples to the hooks in row blocks, rescues rows whose
+intermediates leave the float range, and reports where f is smooth
+(``is_smooth_at``).  Sorting is a comparator network on the columns
+(:func:`_poly.sort_rows`), and every row reduction runs over the columns
+(:func:`_poly.reduce_columns`), so values and gradients are bitwise
+permutation symmetric and independent of the memory layout of the input.
+Gradients that are one formula per entry are evaluated in the input's column
+order: ``InvPowerSum`` and ``InvMonomialSum`` take their row statistics from
+the sorted rows, and ``PucciMin`` reads the stable ranks of the entries
+(:func:`_poly.stable_ranks`).  The sigma_k families take every partial
+derivative on the sorted rows from one prefix-suffix sweep of the product
+recurrence (:func:`_poly.elementary_sweep`), ``Shifted`` sums its inner
+partials on the sorted rows, and both gather the result back once
+(:func:`_poly.unsort`).  ``InvMonomialSum`` runs the complete homogeneous
+recurrence (:func:`_poly.complete_jets`).
 
 ``two_valued(a, b)`` evaluates an operator on the two-valued tuples
 ``(a, b, .., b)`` that a radial metric has at every point, without forming
@@ -74,8 +78,9 @@ def as_eigentuple(values, n=None):
         raise DomainError(f"tuple length {lam.shape[-1]} != expected dimension {n}")
     if lam.shape[-1] < 3:
         raise DomainError(f"dimension {lam.shape[-1]} must be >= 3")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError("eigenvalue tuples must be finite")
+    with np.errstate(**_QUIET):     # a finite sum has finite terms; else test each
+        if not (np.isfinite(np.sum(lam)) or np.all(np.isfinite(lam))):
+            raise DomainError("eigenvalue tuples must be finite")
     return lam
 
 
@@ -106,7 +111,10 @@ class CurvatureOperator:
     A family implements three formulas on ``(rows, n)`` blocks:
 
     * ``_value_sorted(ls)``, f on ascending-sorted rows;
-    * ``_gradient_sorted(ls) -> (out, checks)``, the gradient on sorted rows;
+    * ``_gradient(x, is_sorted=False) -> (out, checks)``, the gradient at the
+      rows ``x`` in their own column order; ``is_sorted`` says that the rows
+      are ascending already, so that a family working on sorted rows neither
+      sorts nor gathers;
     * ``_quadform(lam, b) -> (out, checks)``, ``d2/dt2 f(lam + t b)`` at
       ``t = 0`` on unsorted rows, in ``O(n k)`` per row without forming the
       ``n x n`` Hessian: the sigma_k families apply the chain rule to the
@@ -116,12 +124,12 @@ class CurvatureOperator:
       defect at ties.
 
     ``checks`` are the intermediates that must stay normal numbers (an empty
-    tuple where nothing can leave the float range).  The base class sorts,
-    splits batches into row blocks, evaluates rows with a failed check again
-    on rows scaled by a power of two (:func:`_rescaled`), and scatters
-    gradients back to the entries' positions; ``is_smooth_at`` is True
-    unless a family overrides it.  ``Shifted`` runs its inner operator's
-    hooks on the shifted rows.  ``value`` and ``gradient`` evaluate the raw
+    tuple where nothing can leave the float range).  The base class sorts
+    for ``_value_sorted``, splits batches into row blocks, and evaluates rows
+    with a failed check again on rows scaled by a power of two
+    (:func:`_rescaled`); ``is_smooth_at`` is True unless a family overrides
+    it.  ``Shifted`` runs its inner operator's hooks on the shifted sorted
+    rows.  ``value`` and ``gradient`` evaluate the raw
     formulas wherever they make sense (NaN where they do not) and leave cone
     gating to :func:`eval_op` / :func:`grad_op`.
     """
@@ -136,13 +144,8 @@ class CurvatureOperator:
 
     def gradient(self, lam):
         lam = as_eigentuple(lam, self.n)
-
-        def block(x):
-            g = _rescaled(self._gradient_sorted, 0, _poly.sort_rows(x))
-            return np.take_along_axis(g, _poly.stable_ranks(x), axis=-1)
-
         with np.errstate(**_QUIET):
-            return _poly._by_row_blocks(block, lam)
+            return _poly._by_row_blocks(lambda x: _rescaled(self._gradient, 0, x), lam)
 
     def is_smooth_at(self, lam):
         """False where f is not differentiable at ``lam`` and its gradient is one
@@ -191,8 +194,11 @@ def _rescaled(fn, degree, lam, *rest):
     tiny = np.finfo(float).tiny
     redo = np.zeros(len(rows[0]), dtype=bool)
     for c in checks:
-        ok = np.isfinite(c) & ((c >= tiny) | (c <= -tiny))
-        redo |= ~np.all(ok, axis=tuple(range(1, c.ndim)))
+        # entries of one sign between normal extremes are all normal; else test each
+        lo, hi = (np.min(c), np.max(c)) if c.size else (1.0, 1.0)
+        if not (tiny <= lo and hi < np.inf or -np.inf < lo and hi <= -tiny):
+            ok = np.isfinite(c) & ((c >= tiny) | (c <= -tiny))
+            redo |= ~np.all(ok, axis=tuple(range(1, c.ndim)))
     if np.any(redo):
         x, p = cones._unit_rows(rows[0][redo])
         again = fn(x, *(a[redo] for a in rows[1:]))[0]
@@ -269,17 +275,19 @@ class Quotient(CurvatureOperator):
         e = _poly.elementary_all(ls, self.k)
         return np.power(e[..., self.k] / e[..., self.l], 1.0 / (self.k - self.l))
 
-    def _gradient_sorted(self, ls):
+    def _gradient(self, x, is_sorted=False):
         k, l = self.k, self.l
         if k == 1:          # sigma_1 itself, whose partials are exactly 1
-            return np.ones_like(ls), ()
-        e, partials = _poly.elementary_sweep(ls, k, (k - 1, l - 1) if l else (k - 1,))
+            return np.ones_like(x), ()
+        ls = x if is_sorted else _poly.sort_rows(x)
+        e, partials = _poly.elementary_sweep(ls, k, (k - 1, l - 1) if l > 1 else (k - 1,))
         sk, sl = e[..., k], e[..., l]
         f = np.power(sk / sl, 1.0 / (k - l))
         ratio = partials[0] / sk[..., None]
-        if l:
-            ratio = ratio - partials[1] / sl[..., None]
-        return (f / (k - l))[..., None] * ratio, (sk, sl)
+        if l:               # e_0(lam | i) = 1
+            ratio = ratio - (partials[1] if l > 1 else 1.0) / sl[..., None]
+        g = (f / (k - l))[..., None] * ratio
+        return (g if is_sorted else _poly.unsort(g, x)), (sk, sl)
 
     def _quadform(self, lam, b):
         return _quotient_quadform(lam, b, self.k, self.l), ()
@@ -347,10 +355,9 @@ class PucciMin(CurvatureOperator):
         return (self.delta * _poly.reduce_columns(np.add, ls)
                 + _poly.reduce_columns(np.add, ls[..., :self.k]))
 
-    def _gradient_sorted(self, ls):
-        g = np.full_like(ls, self.delta)
-        g[..., :self.k] += 1.0
-        return g, ()
+    def _gradient(self, x, is_sorted=False):
+        # the k entries first in a stable sort carry the 1
+        return np.where(_poly.stable_ranks(x) < self.k, self.delta + 1.0, self.delta), ()
 
     def is_smooth_at(self, lam):
         """False where the two smallest k-subset sums are tied within tolerance."""
@@ -382,7 +389,8 @@ class PucciMin(CurvatureOperator):
         lam, b = np.broadcast_arrays(lam, b)
         tied = ~self.is_smooth_at(lam)
         out = np.zeros(lam.shape[:-1])
-        out[tied] = self._quadform_fd(lam[tied], b[tied])
+        if np.any(tied):
+            out[tied] = self._quadform_fd(lam[tied], b[tied])
         return out, ()
 
 
@@ -407,9 +415,9 @@ class InvPowerSum(CurvatureOperator):
 
     # lam^-2 .. lam^-4 leave the float range far from unit scale, so the results
     # themselves are checked
-    def _gradient_sorted(self, ls):
-        s = _poly.reduce_columns(np.add, ls ** -2.0)
-        out = s[..., None] ** -1.5 * ls ** -3.0
+    def _gradient(self, x, is_sorted=False):
+        s = _poly.reduce_columns(np.add, (x if is_sorted else _poly.sort_rows(x)) ** -2.0)
+        out = s[..., None] ** -1.5 * x ** -3.0
         return out, (out,)
 
     def _quadform(self, lam, b):
@@ -456,10 +464,10 @@ class InvMonomialSum(CurvatureOperator):
 
     # h_k(1/lam) leaves the float range far from unit scale, so the results and
     # the prefactor are checked
-    def _gradient_sorted(self, ls):
+    def _gradient(self, lam, is_sorted=False):
         k = self.k
-        x = 1.0 / ls
-        h = _poly.complete_jets(x[None], k)[0]
+        x = 1.0 / lam
+        h = _poly.complete_jets((x if is_sorted else 1.0 / _poly.sort_rows(lam))[None], k)[0]
         # dh/dx_i = sum_{m=0..k-1} x_i^m h_{k-1-m}, by Horner on the columns
         xc = np.moveaxis(x, -1, 0)
         hi = np.ones_like(xc)
@@ -471,11 +479,14 @@ class InvMonomialSum(CurvatureOperator):
         return out, (out, pref)
 
     def _quadform(self, lam, b):
-        # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3)
+        # x = 1/(lam + t b) has the jet (x, -b x^2, b^2 x^3), written to planes
+        # (3, n, rows) so that the recurrence reads contiguous columns
         k = self.k
-        x = 1.0 / lam
-        h0, h1, h2 = _poly.complete_jets(np.stack(np.broadcast_arrays(
-            x, -b * x ** 2, b ** 2 * x ** 3)), k)[..., k]
+        jets = np.empty((3,) + lam.T.shape)
+        x = np.divide(1.0, lam.T, out=jets[0])
+        np.multiply(-b.T, x ** 2, out=jets[1])
+        np.multiply(b.T ** 2, x ** 3, out=jets[2])
+        h0, h1, h2 = _poly.complete_jets(np.moveaxis(jets, 1, -1), k)[..., k]
         # f = h^(-1/k): f'' = (1/k)(1/k+1) h^(-1/k-2) h'^2 - (1/k) h^(-1/k-1) (2 h2)
         out = ((1.0 / k) * (1.0 / k + 1.0) * np.power(h0, -1.0 / k - 2.0) * h1 ** 2
                - (1.0 / k) * np.power(h0, -1.0 / k - 1.0) * (2.0 * h2))
@@ -529,15 +540,17 @@ class Shifted(CurvatureOperator):
         return lam + (self.delta * _poly.reduce_columns(np.add, lam))[..., None]
 
     def admissible(self, lam):
-        # membership is 0-homogeneous: rows whose shift overflows are shifted
-        # again scaled by a power of two, and their value overflows instead
-        lam = np.asarray(lam, dtype=float)
         with np.errstate(**_QUIET):
-            shifted = self._shift(lam)
-            over = ~np.isfinite(_poly.reduce_columns(np.add, shifted))
-            if np.any(over):
-                shifted[over] = self._shift(cones._unit_rows(lam[over])[0])
-            return (_poly.reduce_columns(np.add, lam) > 0.0) & self.inner.admissible(shifted)
+            return _poly._by_row_blocks(self._admissible, np.asarray(lam, dtype=float))
+
+    # membership is 0-homogeneous: rows whose shift overflows are shifted again
+    # scaled by a power of two, and their value overflows instead
+    def _admissible(self, lam):
+        shifted = self._shift(lam)
+        over = ~np.isfinite(_poly.reduce_columns(np.add, shifted))
+        if np.any(over):
+            shifted[over] = self._shift(cones._unit_rows(lam[over])[0])
+        return (_poly.reduce_columns(np.add, lam) > 0.0) & self.inner.admissible(shifted)
 
     def diagonal_shift(self, lam):
         # lam + t 1 shifts to self._shift(lam) + (1 + n delta) t 1, divided through
@@ -555,9 +568,11 @@ class Shifted(CurvatureOperator):
     def _value_sorted(self, ls):
         return self.inner._value_sorted(self._shift(ls))
 
-    def _gradient_sorted(self, ls):
-        g1 = _rescaled(self.inner._gradient_sorted, 0, self._shift(ls))
-        return g1 + (self.delta * _poly.reduce_columns(np.add, g1))[..., None], ()
+    def _gradient(self, x, is_sorted=False):
+        ls = x if is_sorted else _poly.sort_rows(x)
+        g1 = _rescaled(lambda y: self.inner._gradient(y, is_sorted=True), 0, self._shift(ls))
+        g = g1 + (self.delta * _poly.reduce_columns(np.add, g1))[..., None]
+        return (g if is_sorted else _poly.unsort(g, x)), ()
 
     def _quadform(self, lam, b):
         mb = b + (self.delta * _poly.reduce_columns(np.add, b))[..., None]

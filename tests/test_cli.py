@@ -420,6 +420,16 @@ def test_harnack_samples_report_no_nan_or_inf_as_success(tmp_path, capsys, rows,
                "--samples-file", str(table)) == (code, "", message)
 
 
+def test_harnack_samples_far_from_unit_scale(tmp_path, capsys):
+    # |x - y|^2 overflows here; the seminorm is 1e200 / (1e200)^0.4 = 1e120
+    table = tmp_path / "w.txt"
+    table.write_text("0 1\n1e200 1e200\n")
+    code, out, err = run(capsys, "harnack", "--delta", "0.25", "--n", "4",
+                         "--samples-file", str(table), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seminorm"] == pytest.approx(1e120, rel=1e-12)
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg_path = write_bubble_config(tmp_path)
     code, out, _ = run(capsys, "solve", "--config", str(cfg_path), "--grid", "32",

@@ -299,6 +299,19 @@ def test_holder_check_validation():
         dg.holder_check(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.5)
 
 
+def test_holder_check_distances_far_from_unit_scale():
+    # the squares of these distances overflow or underflow, and the difference
+    # of the last pair overflows
+    def close(x):
+        return pytest.approx(x, rel=1e-12, abs=0.0)
+
+    assert dg.holder_check([[0.0], [1e200]], [1.0, 1e200], 0.4) == close(1e120)
+    assert dg.holder_check([[0.0], [1e-170]], [1.0, 2.0], 0.4) == close(1e68)
+    assert dg.holder_check([[0.0, 3e200], [0.0, -1e200]], [0.0, 4.0], 0.5) == close(2e-100)
+    assert dg.holder_check([[-1e308], [1e308]], [0.0, 1.0], 0.4) == \
+        close(2.0 ** -0.4 * 1e308 ** -0.4)
+
+
 def test_harnack_report():
     radii = np.geomspace(0.1, 1.0, 20)
     rep = dg.harnack_report(0.25, 4, radii, 2.0 * np.log(radii))

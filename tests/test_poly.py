@@ -27,6 +27,36 @@ def trailing_axis_recurrence(lam, k):
     return coef
 
 
+def jet_recurrence(lam, b, k):
+    """Reference jets of ``e_0 .. e_k`` along b: the recurrence of ``elementary_jet``
+    with its products by e_0's jet (1, 0, 0) kept."""
+    lam, b = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(b, dtype=float))
+    c = np.zeros((3, k + 1) + lam.shape[:-1])
+    c[0, 0] = 1.0
+    for j in range(lam.shape[-1]):
+        top = min(j + 1, k)
+        lo = c[:, 0:top]
+        step = np.ascontiguousarray(lam[..., j]) * lo
+        step[1:] += np.ascontiguousarray(b[..., j]) * lo[:-1]
+        c[:, 1:top + 1] += step
+    return tuple(np.moveaxis(c, 1, -1))
+
+
+def complete_recurrence(x, k):
+    """Reference ``complete_jets``: its recurrence with the products by h_0's jet
+    (1, 0, ..) kept."""
+    x = np.asarray(x, dtype=float)
+    jets = x.shape[0]
+    h = np.zeros((jets, k + 1) + x.shape[1:-1])
+    h[0, 0] = 1.0
+    for i in range(x.shape[-1]):
+        xi = [np.ascontiguousarray(x[q, ..., i]) for q in range(jets)]
+        for m in range(1, k + 1):
+            for q in range(jets):
+                h[q:, m] += xi[q] * h[:jets - q, m - 1]
+    return np.moveaxis(h, 1, -1)
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -52,6 +82,35 @@ def test_elementary_all_is_bitwise_the_trailing_axis_recurrence(batch, data):
     got = _poly.elementary_all(lam, k)
     want = trailing_axis_recurrence(lam, k)
     assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def with_signed_zeros(rng, a):
+    """``a`` with about a quarter of its entries set to -0.0 and another to +0.0."""
+    a = np.array(a)
+    u = rng.random(a.shape)
+    a[u < 0.25] = -0.0
+    a[(u >= 0.25) & (u < 0.5)] = 0.0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.data())
+def test_jets_are_bitwise_the_recurrences_with_their_constant_planes(batch, data):
+    # elementary_jet and complete_jets skip their products with e_0 = h_0 = 1
+    lam, b = batch
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        lam, b = with_signed_zeros(rng, lam), with_signed_zeros(rng, b)
+    k = data.draw(st.integers(0, lam.shape[-1]))
+    for got, want in zip(_poly.elementary_jet(lam, b, k), jet_recurrence(lam, b, k)):
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+    x = np.stack([lam, b, lam * b])[:data.draw(st.integers(1, 3))]
+    got, want = _poly.complete_jets(x, k), complete_recurrence(x, k)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+    got, want = _poly.elementary_all(lam, k), trailing_axis_recurrence(lam, k)
     assert np.array_equal(bits(got), bits(want))
 
 
@@ -136,6 +195,24 @@ def test_stable_ranks_invert_the_stable_argsort(lead, n, seed):
     assert np.array_equal(np.take_along_axis(rank, order, axis=-1),
                           np.broadcast_to(np.arange(n), lam.shape))
     assert np.array_equal(np.take_along_axis(_poly.sort_rows(lam), rank, axis=-1), lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(((), (1,), (5,), (3, 2))), st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans())
+def test_unsort_is_bitwise_the_gather_by_stable_ranks(lead, n, seed, fortran_lam, fortran_g):
+    rng = np.random.default_rng(seed)
+    lam = rng.choice([0.0, 1.0, -1.0, 0.5, -2.5], size=lead + (n,))
+    g = rng.standard_normal(lead + (n,))
+    if fortran_lam:
+        lam = np.asfortranarray(lam)
+    if fortran_g:
+        g = np.asfortranarray(g)
+    want = np.take_along_axis(g, _poly.stable_ranks(lam), axis=-1)
+    got = _poly.unsort(g, lam)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+    assert _poly.unsort(np.empty((0, n)), np.empty((0, n))).shape == (0, n)
 
 
 @settings(max_examples=300, deadline=None)

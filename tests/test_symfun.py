@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhess import _poly, cones, symfun
-from confhess.errors import AdmissibilityError, DomainError
+from confhess.errors import AdmissibilityError, DomainError, NumericError
 
 from oracles import complete_homogeneous_all, elementary_excluding, unblocked
 
@@ -144,7 +144,7 @@ def test_gradient_rescales_only_rows_whose_sigmas_leave_the_float_range():
     lam = np.array([[1.0, 2.0, 3.0], [1e200, 1e200, 1e200], [1e-300, 2e-300, 3e-300]])
     for spec in (symfun.SigmaKRoot(n=3, k=2), symfun.Quotient(n=3, k=2, l=1)):
         g = spec.gradient(lam)
-        assert np.array_equal(g[0], spec._gradient_sorted(lam[:1])[0][0]), spec
+        assert np.array_equal(g[0], spec._gradient(lam[:1])[0][0]), spec
         assert np.all(np.isfinite(g) & (g > 0.0)), spec
         assert np.allclose(g[2], g[0], rtol=1e-14, atol=0.0), spec
     assert np.allclose(symfun.SigmaKRoot(n=3, k=2).gradient(lam[1]), 3 ** -0.5,
@@ -520,6 +520,41 @@ def nested_operators(draw, n):
     return symfun.Shifted(n=n, inner=op, delta=draw(st.floats(0.01, 2.0)))
 
 
+def _gradient_by_the_sort(spec, lam):
+    """The gradient as defined by the sort: the sorted rows' gradient gathered back
+    through the stable ranks."""
+    return np.take_along_axis(spec.gradient(_poly.sort_rows(lam)), _poly.stable_ranks(lam),
+                              axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gradients_are_the_sorted_gradients_gathered_back(data):
+    # the inverse families and Pucci take their gradient per entry, with no sort
+    # (beyond the row statistics) and no gather; the sigma_k families and the
+    # trace shift gather once by a flat np.take: all are bitwise the definition
+    n = data.draw(st.integers(3, 8))
+    spec = data.draw(nested_operators(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam = np.concatenate([cones.sample_cone(spec.cone, 24, rng),
+                          rng.integers(-2, 3, (8, n)).astype(float)])
+    lam[::3, 1] = lam[::3, 0]     # ties
+    inner = _innermost(spec)
+    if isinstance(inner, symfun.PucciMin) and inner.k < n:
+        # the k-th and (k+1)-th smallest entries tie, in unsorted positions
+        for row in lam[1::4]:
+            order = np.argsort(row, kind="stable")
+            row[order[inner.k]] = row[order[inner.k - 1]]
+    lam[2::5] *= 1e200      # rows evaluated again, scaled
+    lam[3::5] *= 1e-200
+    lam += 0.0              # no -0.0: the sort may swap it with a tied +0.0
+    want = _gradient_by_the_sort(spec, lam)
+    for x in (lam, np.asfortranarray(lam)):
+        assert np.array_equal(_bits(spec.gradient(x)), _bits(want)), spec.descriptor()
+    assert np.array_equal(_bits(spec.gradient(lam[5])), _bits(want[5])), spec.descriptor()
+    assert spec.gradient(lam[:0]).shape == (0, n)
+
+
 def two_valued_rows(rng, size):
     """Rows ``(a, b)`` of four kinds in equal shares: 0 < a < b, a > b > 0, a == b > 0
     and a < 0 < b, with |a| / b in [1/16, 16] and each row scaled by 2^-60 .. 2^60;
@@ -816,6 +851,28 @@ def test_pucci_smoothness_where_the_value_overflows():
         tied = spec.is_smooth_at(np.ldexp([[0.0, 1.0, 1.0], [1.5, 1.5, 1.75]], 1023))
     assert smooth and np.array_equal(grad, [1.25, 0.25, 0.25])
     assert np.array_equal(tied, [True, False])
+
+
+@pytest.mark.parametrize("text", ["sigma-root:k=1", "sigma-root:k=3", "quotient:k=2,l=1",
+                                  "quotient:k=4,l=2", "ricci:inner=sigma-root:k=2",
+                                  "ricci:inner=inv-power", "inv-power", "inv-monomial:k=3"])
+def test_quadform_along_a_non_finite_direction_is_a_numeric_error(text):
+    # the jets skip their products with the constant planes e_0 = h_0 = 1, which
+    # turned an inf in b into nan; the result must still be non-finite
+    spec = symfun.parse_operator(text, 4)
+    lam = np.array([1.0, 2.0, 3.0, 4.0])
+    for i, bad in itertools.product(range(4), (np.inf, -np.inf, np.nan)):
+        b = np.array([0.5, -1.0, 0.25, 2.0])
+        b[i] = bad
+        with pytest.raises(NumericError):
+            symfun.concavity_quadform(spec, lam, b)
+
+
+def test_pucci_quadform_along_a_non_finite_direction_is_zero():
+    # PucciMin is linear where it is smooth: its quadform is 0 along any direction
+    pucci = symfun.parse_operator("pucci:k=2,delta=0.5", 4)
+    b = [np.inf, np.nan, 0.0, 1.0]
+    assert symfun.concavity_quadform(pucci, [1.0, 2.0, 3.0, 4.0], b) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 6])
