@@ -282,15 +282,18 @@ class CallableProfile(Profile):
 
 
 class _JetProfile(Profile):
-    """Profile built from an explicit jet closure (internal wrapper base)."""
+    """Profile built from explicit jet and value closures (internal wrapper base)."""
 
-    def __init__(self, jet_fn, n, gauge, background):
+    def __init__(self, jet_fn, value_fn, n, gauge, background):
         self.background = _default_background(n, background)
         self.gauge = gauge
-        self._jet_fn = jet_fn
+        self._jet_fn, self._value_fn = jet_fn, value_fn
 
     def jet(self, x):
         return self._jet_fn(np.asarray(x, dtype=float))
+
+    def value(self, x):
+        return self._value_fn(np.asarray(x, dtype=float))
 
 
 def _transform(p, jet_map, radial, gauge, background, **changes):
@@ -301,17 +304,18 @@ def _transform(p, jet_map, radial, gauge, background, **changes):
     the result is a :class:`RadialProfile` like ``p`` (with ``changes``) that
     stores the composed 1-D jet; otherwise it is an n-D :class:`_JetProfile`.
     The value of ``jet_map`` depends on the values of the ``q`` only, so the
-    radial ``fun`` runs it on their values alone, with zero derivatives."""
+    value of either runs it on their values alone, with zero derivatives."""
+    def value_only(q, y):
+        f = np.asarray(q.radial_value(y[..., 0]) if radial else q.value(y))
+        return f, np.zeros(f.shape + y.shape[-1:]), np.zeros(f.shape + y.shape[-1:] * 2)
+
     if not radial:
-        return _JetProfile(lambda x: jet_map(lambda q, y: q.jet(y), x), p.n, gauge, background)
+        return _JetProfile(lambda x: jet_map(lambda q, y: q.jet(y), x),
+                           lambda x: jet_map(value_only, x)[0], p.n, gauge, background)
 
     def lifted(q, y):
         f, f1, f2 = q.radial_jet(y[..., 0])
         return f, f1[..., None], f2[..., None, None]
-
-    def value_only(q, y):
-        f = np.asarray(q.radial_value(y[..., 0]))
-        return f, np.zeros(f.shape + (1,)), np.zeros(f.shape + (1, 1))
 
     def jet1(s):
         f, g, h = jet_map(lifted, np.asarray(s, dtype=float)[..., None])

@@ -8,20 +8,24 @@ for admissible conformal metrics are about:
 * ``hessian_monitor``   -- sup of ``rho^2 |u_xi,xi|`` over the ball and over
   unit directions xi (U gauge);
 * ``blowup_rescale``    -- recenter at a point, dilate coordinates by the
-  gradient magnitude, and normalize the value to 1 at the center;
+  gradient magnitude, and normalize the value to 1 at the center: a profile
+  transform like the gauge maps of :mod:`confhess.conformal`;
 * ``bishop_gromov_curve`` -- geodesic-ball volume over Euclidean-ball
   volume for radial metrics ``g = u^-2 dx^2`` (non-increasing under
   nonnegative Ricci curvature, identically 1 only for flat space);
 * ``harnack_beta`` / ``holder_check`` -- the Holder exponent
   ``(1 - delta (n-2)) / (1 + delta)`` and sampled Holder seminorms.
 
-Profiles that are not radial about the origin are sampled at quasi-random
-ball points, all in one batched jet or value call.  ``scipy.stats`` is
-imported on the first Sobol sample of a ball, not with the module.
+A profile radial about any center ``c`` reduces the ball monitors and the
+oscillation to one scan of the radii ``s`` of the spheres about ``c`` that meet
+the ball: the cutoff is largest on such a sphere at ``|x| = | |c| - s |``.  Other
+profiles, and explicit ``points``, are sampled at quasi-random ball points, all
+in one batched jet or value call.  ``scipy.stats`` is imported on the first
+Sobol sample of a ball, not with the module.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,9 +59,11 @@ def cutoff(x_norm, radius):
 def adaptive_simpson(f, a, b):
     """Integrate a vectorized integrand over ``[a, b]`` arrays of intervals.
 
-    Panels are doubled (at most 22 times) until successive composite Simpson
-    values agree to ``1e-14 + 1e-9 |value|`` on every interval, then the
-    Richardson-corrected value is returned.  Shape of ``a``/``b`` is preserved.
+    Panels are doubled until successive composite Simpson values agree to
+    ``1e-14 + 1e-9 |value|`` on every interval, then the Richardson-corrected
+    value is returned.  Shape of ``a``/``b`` is preserved.  A composite value that
+    is not finite, or 2^23 points in all without agreement (2^23 panels for one
+    interval), raise :class:`NumericError`, so that memory stays bounded.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -72,15 +78,16 @@ def adaptive_simpson(f, a, b):
         h = (b - a) / panels
         return (h / 3.0) * np.einsum("...k,k->...", fv, w)
 
-    prev = composite(2)
-    panels = 4
-    for _ in range(22):
+    prev, panels = composite(2), 4
+    while True:
         cur = composite(panels)
         if np.all(np.abs(cur - prev) <= 1e-14 + 1e-9 * np.abs(cur)):
             return cur + (cur - prev) / 15.0
-        prev = cur
-        panels *= 2
-    return cur + (cur - prev) / 15.0
+        if not np.all(np.isfinite(cur)):
+            raise NumericError("integral leaves the float range")
+        if panels * a.size >= 2 ** 23:
+            raise NumericError("integral does not converge in 2^23 points")
+        prev, panels = cur, 2 * panels
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +106,7 @@ class EstimateMonitor:
     samples: int
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "supremum": self.supremum,
-            "location": self.location,
-            "direction": self.direction,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def _sobol_ball(n, radius, count, seed=0):
@@ -137,6 +137,36 @@ def _argmax(kind, z):
     return int(np.argmax(z))
 
 
+def _ball_radii(p, radius, num_samples):
+    """``|c|`` and ``num_samples`` even radii ``s`` of the spheres about the center
+    ``c`` of a radial ``p`` that meet the ball: ``[|c| - radius, |c| + radius]``,
+    clipped to the domain, and from ``(|c| + radius) / num_samples`` where ``p``
+    excludes its center.  On each sphere the cutoff is largest at
+    ``|x| = | |c| - s |``."""
+    c = float(_norm(p.center))
+    lo = max(c - radius, p.domain[0], 0.0)
+    if p.excludes_origin:
+        lo = max(lo, (c + radius) / num_samples)
+    return c, np.linspace(lo, min(c + radius, p.domain[1]), num_samples)
+
+
+def _radial(kind, p, radius, num_samples, weigh):
+    """The monitor of a radial ``p`` from ``weigh(s, x) -> (z, tangential)`` on the
+    radii of :func:`_ball_radii`, with ``x = | |c| - s |``.  While the maximizer is
+    the first interior radius, ``[s0, s2]`` is scanned again with as many radii,
+    until that bracket no longer subdivides: a peak narrower than the step lies
+    there."""
+    c, s = _ball_radii(p, radius, num_samples)
+    while True:
+        z, tangential = weigh(s, np.abs(c - s))
+        i = _argmax(kind, z)
+        if i != 1 or s.size < 3 or not s[0] < (t := np.linspace(s[0], s[2], s.size))[1] < s[1]:
+            direction = "tangential" if np.broadcast_to(tangential, z.shape)[i] else "radial"
+            return EstimateMonitor(kind, radius, float(z[i]), float(abs(c - s[i])), direction,
+                                   num_samples)
+        s = t
+
+
 def _sampled(kind, radius, z, pts):
     """The monitor at the first maximizer of ``z`` over the sample points."""
     i = _argmax(kind, z)
@@ -148,20 +178,18 @@ def _sampled(kind, radius, z, pts):
 def gradient_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     """Supremum of ``rho |Dv| / v`` over the ball of the given radius.
 
-    Radially symmetric profiles centered at the origin are scanned on a
-    dense 1-D grid; other profiles are sampled at quasi-random ball points
-    (or at explicitly provided ``points``).
+    Radial profiles are scanned on a dense 1-D grid of radii (:func:`_radial`);
+    other profiles are sampled at quasi-random ball points (or at explicitly
+    provided ``points``).
     """
     _check_ball(radius, num_samples)
     pv = conformal.gauge_convert(p, "v")
-    if isinstance(pv, conformal.RadialProfile) and pv.centered_at_origin and points is None:
-        lo = radius / num_samples if pv.excludes_origin else max(pv.domain[0], 0.0)
-        s = np.linspace(lo, min(radius, pv.domain[1]), num_samples)
-        val, d1, _ = pv.radial_jet(s)
-        z = cutoff(s, radius) * np.abs(d1) / val
-        i = _argmax("gradient", z)
-        return EstimateMonitor("gradient", radius, float(z[i]), float(s[i]),
-                               "radial", num_samples)
+    if isinstance(pv, conformal.RadialProfile) and points is None:
+        def weigh(s, x):
+            val, d1, _ = pv.radial_jet(s)
+            return cutoff(x, radius) * np.abs(d1) / val, False
+
+        return _radial("gradient", pv, radius, num_samples, weigh)
     pts = _sobol_ball(pv.n, radius, num_samples) if points is None else np.asarray(points)
     val, grad, _ = pv.jet(pts)
     z = cutoff(_norm(pts), radius) * _norm(grad) / val
@@ -178,17 +206,14 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
     """
     _check_ball(radius, num_samples)
     pu = conformal.gauge_convert(p, "u")
-    if isinstance(pu, conformal.RadialProfile) and pu.centered_at_origin and points is None:
-        lo = radius / num_samples if pu.excludes_origin else max(pu.domain[0], 0.0)
-        s = np.linspace(lo, min(radius, pu.domain[1]), num_samples)
-        _, d1, d2 = pu.radial_jet(s)
-        tang = np.abs(conformal.tangential_hessian(s, d1, d2))
-        rad = np.abs(d2)
-        z = cutoff(s, radius) ** 2 * np.maximum(rad, tang)
-        i = _argmax("hessian", z)
-        return EstimateMonitor("hessian", radius, float(z[i]), float(s[i]),
-                               "radial" if rad[i] >= tang[i] else "tangential",
-                               num_samples)
+    if isinstance(pu, conformal.RadialProfile) and points is None:
+        def weigh(s, x):
+            _, d1, d2 = pu.radial_jet(s)
+            tang = np.abs(conformal.tangential_hessian(s, d1, d2))
+            rad = np.abs(d2)
+            return cutoff(x, radius) ** 2 * np.maximum(rad, tang), rad < tang
+
+        return _radial("hessian", pu, radius, num_samples, weigh)
     pts = _sobol_ball(pu.n, radius, num_samples) if points is None else np.asarray(points)
     hess = pu.hessian(pts)
     eigs = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
@@ -200,63 +225,42 @@ def hessian_monitor(p, radius, num_samples=RADIAL_SCAN, points=None):
 # Blow-up rescaling
 # ---------------------------------------------------------------------------
 
-class BlowupProfile(conformal.Profile):
-    """``vt(y) = v(x_k + y / |Dv(x_k)|) / v(x_k)``.
-
-    The coordinate dilation by the gradient magnitude and the value
-    normalization give ``vt(0) = 1`` exactly, and ``|Dvt(0)| = 1`` exactly
-    whenever the input was normalized to ``v(x_k) = 1`` (as in the blow-up
-    procedure, where the supremum normalization is applied first).
-    """
-
-    def __init__(self, base, center):
-        self.base = conformal.gauge_convert(base, "v")
-        self.background = self.base.background
-        self.gauge = "v"
-        self.center = np.asarray(center, dtype=float)
-        val0, grad0, _ = self.base.jet(self.center)
-        scale = float(np.linalg.norm(grad0))
-        if not scale > 0.0:
-            raise DomainError("blow-up rescaling is degenerate where the gradient vanishes")
-        if not val0 > 0.0:
-            raise DomainError("blow-up rescaling requires a positive center value")
-        self.dilation = scale
-        self.center_value = float(val0)
-
-    def value(self, y):
-        x = self.center + np.asarray(y, dtype=float) / self.dilation
-        return self.base.value(x) / self.center_value
-
-    def jet(self, y):
-        val, grad, hess = self.base.jet(self.center + np.asarray(y, dtype=float) / self.dilation)
-        return (val / self.center_value,
-                grad / (self.dilation * self.center_value),
-                hess / (self.dilation ** 2 * self.center_value))
-
-
 def blowup_rescale(p, x_k):
-    """Recenter, dilate by the gradient magnitude, normalize the value."""
-    return BlowupProfile(p, x_k)
+    """``vt(y) = v(x_k + y / d) / v(x_k)`` with ``d = |Dv(x_k)|``: recenter, dilate by
+    the gradient magnitude, normalize the value.
+
+    ``vt(0) = 1`` exactly, and ``|Dvt(0)| = 1`` whenever ``v(x_k) = 1`` (as in the
+    blow-up procedure, where the supremum normalization comes first).  A profile
+    radial about ``c`` gives one radial about ``d (c - x_k)``, whose radius ``s`` is
+    the base's ``s / d``; any other gives an n-D transform.
+    """
+    pv = conformal.gauge_convert(p, "v")
+    val0, grad0, _ = pv.jet(x_k)
+    d = float(np.linalg.norm(grad0))
+    if not d > 0.0:
+        raise DomainError("blow-up rescaling is degenerate where the gradient vanishes")
+    radial, shift, changes = isinstance(pv, conformal.RadialProfile), x_k, {}
+    if radial:
+        center = d * (pv.center - x_k)
+        shift, changes = 0.0, {"center": center, "domain": (d * pv.domain[0], d * pv.domain[1])}
+        val0 = pv.radial_value(_norm(-center) / d)      # the base radius of vt(0)
+    if not val0 > 0.0:
+        raise DomainError("blow-up rescaling requires a positive center value")
+
+    def jet_map(jet, y):
+        val, grad, hess = jet(pv, shift + y / d)
+        return val / val0, grad / (d * val0), hess / (d * d * val0)
+
+    return conformal._transform(pv, jet_map, radial, "v", pv.background, **changes)
 
 
 def oscillation_on_ball(p, radius, num_samples=4096):
-    """max - min of a profile over the ball ``|y| <= radius``.
-
-    Radial structure is exploited exactly: the image of the ball under the
-    blow-up coordinates covers an interval of radii of the base profile.
-    """
+    """max - min of a profile over the ball ``|y| <= radius``: over the radii of
+    :func:`_ball_radii` for a radial profile, whatever its center (a blow-up of
+    one included), else at quasi-random ball points."""
     _check_ball(radius, num_samples)
-    if isinstance(p, BlowupProfile) and isinstance(p.base, conformal.RadialProfile) \
-            and p.base.centered_at_origin:
-        s_k = float(np.linalg.norm(p.center))
-        half = radius / p.dilation
-        lo = max(s_k - half, 0.0)
-        if p.base.excludes_origin:
-            lo = max(lo, (s_k + half) / num_samples)
-        vals = p.base.radial_value(np.linspace(lo, s_k + half, num_samples)) / p.center_value
-    elif isinstance(p, conformal.RadialProfile) and p.centered_at_origin:
-        lo = radius / num_samples if p.excludes_origin else 0.0
-        vals = p.radial_value(np.linspace(lo, radius, num_samples))
+    if isinstance(p, conformal.RadialProfile):
+        vals = p.radial_value(_ball_radii(p, radius, num_samples)[1])
     else:
         vals = p.value(_sobol_ball(p.n, radius, num_samples))
     return float(np.max(vals) - np.min(vals))
@@ -396,8 +400,8 @@ def holder_check(points, values, beta):
     Points and values must be finite (else :class:`DomainError`); a seminorm
     that leaves the float range raises :class:`NumericError`.  Each distance is
     taken as ``2^e |(x - y) / 2^e|`` with ``max |(x - y) / 2^e|`` in [1/2, 1), so
-    that no square in it overflows or underflows; pairs whose difference
-    overflows are differenced halved."""
+    that no square in it overflows or underflows; pairs of points or of values
+    whose difference overflows are differenced halved."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if points.ndim == 1:
@@ -416,8 +420,11 @@ def holder_check(points, values, beta):
     d = np.linalg.norm(np.ldexp(diff, -e[:, None]), axis=-1)
     if np.any(d <= 0.0):
         raise DomainError("pairwise distances must be positive")
-    seminorm = float(np.max(np.abs(values[i] - values[j])
-                            / (d ** beta * np.exp2((e + half) * beta))))
+    dw = values[i] - values[j]
+    halved = ~np.isfinite(dw)
+    dw[halved] = 0.5 * values[i[halved]] - 0.5 * values[j[halved]]
+    seminorm = float(np.max(np.abs(dw) / (d ** beta * np.exp2((e + half) * beta))
+                            * (1.0 + halved)))
     if not np.isfinite(seminorm):
         raise NumericError("sampled Holder seminorm leaves the float range")
     return seminorm
@@ -434,8 +441,7 @@ class HarnackReport:
     samples: int
 
     def to_dict(self):
-        return {"delta": self.delta, "n": self.n, "beta": self.beta,
-                "seminorm": self.seminorm, "samples": self.samples}
+        return asdict(self)
 
 
 def harnack_report(delta, n, points, values):

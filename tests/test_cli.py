@@ -371,6 +371,38 @@ def test_converge_study(tmp_path, capsys):
     assert 1.7 < doc["orders"][0] < 2.3
 
 
+def test_monitor_and_harnack_json_are_the_report_fields(tmp_path, capsys):
+    code, out, _ = run(capsys, "monitor", "--profile", "bubble", "--n", "4", "--radius", "1",
+                       "--format", "json")
+    assert (code, out) == (0, '{\n  "kind": "gradient",\n  "radius": 1,\n'
+                              '  "supremum": 0.60056620913824832,\n  "location": 0.4859,\n'
+                              '  "direction": "radial",\n  "samples": 10001\n}\n')
+    table = tmp_path / "w.txt"
+    table.write_text("0 1\n0.5 2\n2 -1\n")
+    code, out, _ = run(capsys, "harnack", "--delta", "0.25", "--n", "4",
+                       "--samples-file", str(table), "--format", "json")
+    assert (code, out) == (0, '{\n  "delta": 0.25,\n  "n": 4,\n  "beta": 0.40000000000000002,\n'
+                              '  "seminorm": 2.5508490012515819,\n  "samples": 3\n}\n')
+
+
+def test_radial_monitor_finds_a_peak_narrower_than_its_step(capsys):
+    # the sup (1 - scale^2) / scale lies at |x| = scale, inside the first step 1e-4
+    # of the scan, which printed 19801.98 and 19999.9998; the rescans of the
+    # first two steps find it
+    for scale, rel in ((1e-5, 1e-10), (1e-150, 1e-6)):
+        code, out, err = run(capsys, "monitor", "--profile", f"bubble:scale={scale:g}",
+                             "--n", "4", "--radius", "1", "--format", "json")
+        doc = json.loads(out)
+        assert (code, err, doc["direction"]) == (0, "", "radial"), scale
+        assert doc["supremum"] == pytest.approx((1.0 - scale ** 2) / scale, rel=rel), scale
+        assert doc["location"] == pytest.approx(scale, rel=1e-3), scale
+    # the Hessian monitor's maximizer is the center, which no rescan moves
+    code, out, _ = run(capsys, "monitor", "--profile", "bubble:scale=1e-5", "--n", "4",
+                       "--radius", "1", "--kind", "hess", "--format", "json")
+    assert json.loads(out) == {"kind": "hessian", "radius": 1.0, "supremum": 200000.0,
+                               "location": 0.0, "direction": "radial", "samples": 10001}
+
+
 def test_monitor_subcommand(capsys):
     code, out, _ = run(capsys, "monitor", "--profile", "bubble:scale=1", "--n", "4",
                        "--kind", "grad", "--radius", "1.0", "--format", "json")
@@ -519,6 +551,20 @@ def test_bishop_gromov_at_non_finite_radii_is_a_domain_error(radii):
                        f"--radii={radii}"])
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr == "error: radii must be finite and positive\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["const", "--n", "5", "--radii=1e300"], "leaves the float range"),
+    (["bubble", "--gauge", "w", "--n", "6", "--radii=1e300"], "leaves the float range"),
+    (["bubble:scale=1e-150", "--n", "3", "--radii=2.67,1.77"], "does not converge in 2^23 points"),
+], ids=["const", "bubble", "narrow-bubble"])
+def test_volume_integral_that_cannot_converge_is_a_numeric_failure(argv, message):
+    # the Simpson sums of an overflowing integrand, or of a peak 1e-150 wide, never
+    # agreed, and the panel doublings of the whole 2048-cell table went on to 2^23
+    # panels per cell, many GB: tested only in the capped child
+    proc = run_capped(["bishop-gromov", "--profile", *argv])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"numeric failure: integral {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -709,7 +755,7 @@ def test_monitors_and_volume_ratios_report_no_nan_as_success(capsys):
              (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1",
                "--kind", "hess"), 2, None),
              (("monitor", "--profile", "bubble:scale=1e-150", "--n", "4", "--radius", "1"),
-              0, 19999.9998),
+              0, 9.9999984575044473e149),
              (("bishop-gromov", "--profile", "const:c=1e-200", "--n", "4", "--radii", "1"),
               1, None)]
     for argv, code_expected, sup in cases:
@@ -762,8 +808,9 @@ def test_schouten_and_kelvin_far_from_unit_scale_warn_nothing(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Property tests: every eval/grad/cone/axioms/inclusion/schouten/kelvin/harnack
-# call, and every solve of a config document, ends with a documented exit code
+# Property tests: every eval/grad/cone/axioms/inclusion/schouten/kelvin/monitor/
+# bishop-gromov/harnack call, and every solve of a config document, ends with a
+# documented exit code
 # ---------------------------------------------------------------------------
 
 #: Seconds an example may run before it fails as a hang.
@@ -865,6 +912,8 @@ def cone_descriptors(draw, n):
 #: Profile parameters far from unit scale, or outside the domain.
 EDGE_PARAMETERS = ("1e-300", "1e-150", "1e-100", "1e-8", "1e8", "1e100", "1e150", "1e300",
                    "5e-324", "1.7976931348623157e308", "0", "-1", "nan", "inf")
+#: Ball radii: zero, negative, non-finite, tiny and huge.
+EDGE_RADII = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 #: Point coordinates: zeros, huge and tiny entries.
 EDGE_COORDINATES = ("0", "-0", "1e300", "-1e300", "1e154", "1e-154", "1e-300", "-1e-300",
                     "5e-324", "1.7976931348623157e308")
@@ -883,6 +932,10 @@ def backgrounds():
     sphere = radius.map(lambda a: f"sphere:a={a}")
     return mostly(st.sampled_from(("flat", "sphere")) | sphere,
                   sphere.flatmap(malformed) | st.just("flat:a=1"))
+
+
+def radii():
+    return mostly(st.floats(0.1, 10.0).map(repr), st.sampled_from(EDGE_RADII))
 
 
 def coordinates():
@@ -908,8 +961,9 @@ def samples_files(directory):
 @given(st.data())
 def test_cli_exits_with_a_documented_code_on_any_input(tmp_path_factory, data):
     n = data.draw(mostly(st.integers(3, 6), st.integers(0, 9)), label="n")
-    command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms", "schouten",
-                                         "kelvin", "inclusion", "harnack")), label="command")
+    command = data.draw(st.sampled_from(("eval", "grad", "cone", "axioms", "schouten", "kelvin",
+                                         "monitor", "bishop-gromov", "inclusion", "harnack")),
+                        label="command")
     fmt = data.draw(st.sampled_from(("text", "json")), label="format")
     if command == "inclusion":
         k = data.draw(mostly(st.integers(1, max(n, 1)), st.integers(-1, 9)), label="k")
@@ -925,14 +979,22 @@ def test_cli_exits_with_a_documented_code_on_any_input(tmp_path_factory, data):
         assert_documented_exit([command, "--delta", data.draw(deltas(), label="delta"),
                                 "--n", str(n), *flag, "--format", fmt])
         return
-    if command in ("schouten", "kelvin"):
-        size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
-        x = ",".join(data.draw(st.lists(coordinates(), min_size=size, max_size=size),
-                               label="x"))
+    if command in ("schouten", "kelvin", "monitor", "bishop-gromov"):
         args = ["--profile", data.draw(profile_descriptors(), label="profile"),
                 "--gauge", data.draw(st.sampled_from(conformal.GAUGES), label="gauge"),
-                "--background", data.draw(backgrounds(), label="background"),
-                *data.draw(st.sampled_from((["--x", x], ["--x=" + x])))]
+                "--background", data.draw(backgrounds(), label="background")]
+        if command == "monitor":
+            samples = data.draw(mostly(st.integers(1, 2000), st.integers(-2, 0)), label="samples")
+            args += ["--kind", data.draw(st.sampled_from(("grad", "hess")), label="kind"),
+                     "--radius=" + data.draw(radii(), label="radius"), "--samples", str(samples)]
+        elif command == "bishop-gromov":
+            args.append("--radii=" + ",".join(data.draw(st.lists(radii(), min_size=1, max_size=4),
+                                                        label="radii")))
+        else:
+            size = data.draw(mostly(st.just(n), st.integers(0, 9)), label="size")
+            x = ",".join(data.draw(st.lists(coordinates(), min_size=size, max_size=size),
+                                   label="x"))
+            args += data.draw(st.sampled_from((["--x", x], ["--x=" + x])))
         assert_documented_exit([command, *args, "--n", str(n), "--format", fmt])
         return
     if command == "cone":

@@ -70,14 +70,46 @@ def test_monitor_sampled_path_agrees_with_radial_path():
     p = cf.bubble_profile(3)
     radial = dg.gradient_monitor(p, 1.0)
     shifted = cf.bubble_profile(3, center=np.array([1e-9, 0.0, 0.0]))
-    sampled = dg.gradient_monitor(shifted, 1.0, num_samples=4096)
+    sampled = dg.gradient_monitor(shifted, 1.0, points=dg._sobol_ball(3, 1.0, 4096))
     assert sampled.direction == "sampled"
     assert abs(sampled.supremum - radial.supremum) < 0.05 * radial.supremum
 
 
-def counted_bubble(n, gauge, calls):
-    """A shifted bubble (so the monitors sample it) in the given gauge whose
-    closures count their calls."""
+def off_centre_monitor_oracle(n, eps, c, radius):
+    """sup of the cutoff-weighted closed forms over a 200001-point scan of the
+    radii of the spheres about ``c`` that meet the ball: ``|Dv| / v = (n-2) s /
+    (eps^2 + s^2)`` and, as u = (eps^2 + s^2) / eps, ``|D2 u| = 2 / eps``."""
+    s = np.linspace(max(c - radius, 0.0), c + radius, 200001)
+    rho = np.maximum(1.0 - ((c - s) / radius) ** 2, 0.0)
+    return np.max(rho * (n - 2) * s / (eps ** 2 + s ** 2)), np.max(rho ** 2) * 2.0 / eps
+
+
+@pytest.mark.parametrize("center", [(0.3, 0.0, 0.0, 0.0), (0.1, -0.4, 0.2, 0.3),
+                                    (1.5, 0.0, 0.0, 0.2)])
+def test_off_centre_radial_monitors_scan_the_radii_of_the_ball(center):
+    n, eps, center = 4, 0.5, np.array(center)
+    p = cf.bubble_profile(n, scale=eps, center=center)
+    grad_want, hess_want = off_centre_monitor_oracle(n, eps, float(np.linalg.norm(center)), 1.0)
+    points = dg._sobol_ball(n, 1.0, 4096)
+    for fn, want in ((dg.gradient_monitor, grad_want), (dg.hessian_monitor, hess_want)):
+        mon = fn(p, 1.0)
+        assert mon.direction != "sampled"
+        assert mon.supremum >= fn(p, 1.0, points=points).supremum
+        assert mon.supremum == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("center, radii", [((0.3, 0.0, 0.0, 0.0), (0.0, 1.3)),
+                                           ((2.0, 0.0, 0.0, 0.0), (1.0, 3.0))])
+def test_off_centre_radial_oscillation_is_exact(center, radii):
+    # the bubble decreases in s, so its max and min over the ball lie on the
+    # nearest and farthest spheres
+    p = cf.bubble_profile(4, scale=0.5, center=np.array(center))
+    want = p.radial_value(radii[0]) - p.radial_value(radii[1])
+    assert dg.oscillation_on_ball(p, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def counted_bubble(n, gauge, calls, background=None):
+    """A shifted bubble in the given gauge whose closures count their calls."""
     b = cf.gauge_convert(cf.bubble_profile(n, scale=0.7, center=np.full(n, 0.1)), gauge)
 
     def counted(name, fn):
@@ -87,18 +119,26 @@ def counted_bubble(n, gauge, calls):
         return f
 
     return cf.RadialProfile(counted("fun", b.fun), counted("d1", b.d1), counted("d2", b.d2),
-                            n, gauge=gauge, center=b.center)
+                            n, gauge=gauge, background=background, center=b.center)
 
 
 def test_sampled_paths_make_one_batched_profile_call():
     calls = {}
-    mon = dg.gradient_monitor(counted_bubble(4, "v", calls), 1.0, num_samples=1024)
+    points = dg._sobol_ball(4, 1.0, 1024)
+    mon = dg.gradient_monitor(counted_bubble(4, "v", calls), 1.0, points=points)
     assert mon.direction == "sampled" and calls == {"fun": 1, "d1": 1, "d2": 1}
     calls.clear()
-    mon = dg.hessian_monitor(counted_bubble(4, "u", calls), 1.0, num_samples=1024)
+    mon = dg.hessian_monitor(counted_bubble(4, "u", calls), 1.0, points=points)
     assert mon.direction == "sampled" and calls == {"fun": 1, "d1": 1, "d2": 1}
     calls.clear()
     dg.oscillation_on_ball(counted_bubble(4, "v", calls), 1.0, num_samples=1024)
+    assert calls == {"fun": 1}
+    # the sampled oscillation of an n-D transform: its value takes one value of
+    # the base and no jet
+    calls.clear()
+    sphere = cf.flat_equivalent(counted_bubble(4, "v", calls, cf.SphereBackground(4)))
+    assert not isinstance(sphere, cf.RadialProfile)
+    dg.oscillation_on_ball(sphere, 1.0, num_samples=1024)
     assert calls == {"fun": 1}
 
 
@@ -127,7 +167,7 @@ def test_blowup_normalization_identities():
     bn = dg.blowup_rescale(normalized, x_k)
     assert np.linalg.norm(bn.gradient(np.zeros(n))) == pytest.approx(1.0, rel=1e-12)
     # in general the product of the two normalizations is 1 exactly
-    assert np.linalg.norm(bp.gradient(np.zeros(n))) * bp.center_value == pytest.approx(
+    assert np.linalg.norm(bp.gradient(np.zeros(n))) * float(p.value(x_k)) == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -148,6 +188,45 @@ def test_blowup_matches_closed_form_on_bubble():
     for y in rng.normal(size=(10, n)):
         direct = p.value(x_k + y / scale) / val
         assert bp.value(y) == pytest.approx(direct, rel=1e-13)
+
+
+def off_centre_sphere(n):
+    """A non-radial V-gauge profile: the flat equivalent of an off-centre bubble
+    over the sphere."""
+    return cf.flat_equivalent(cf.bubble_profile(n, scale=0.8, center=np.full(n, 0.2),
+                                                background=cf.SphereBackground(n)))
+
+
+def test_blowup_value_at_the_origin_is_one():
+    n = 4
+    rng = np.random.default_rng(3)
+    bases = {"centred": cf.bubble_profile(n, scale=0.6),
+             "off-centre": cf.bubble_profile(n, scale=0.6, center=np.array([0.1, -0.3, 0.2, 0.0])),
+             "n-D": off_centre_sphere(n)}
+    assert not isinstance(bases["n-D"], cf.RadialProfile)
+    for name, p in bases.items():
+        for x_k in rng.uniform(-1.0, 1.0, (20, n)):
+            assert dg.blowup_rescale(p, x_k).value(np.zeros(n)) == 1.0, (name, x_k)
+
+
+def test_blowup_of_a_radial_base_is_radial_and_rescales_it():
+    n = 4
+    rng = np.random.default_rng(5)
+    for p in (cf.bubble_profile(n, scale=0.6, center=np.array([0.1, -0.3, 0.2, 0.0])),
+              cf.inversion_profile(n, 2.0), cf.gauge_convert(cf.bubble_profile(n), "u")):
+        x_k = rng.uniform(-1.0, 1.0, n)
+        bp = dg.blowup_rescale(p, x_k)
+        pv = cf.gauge_convert(p, "v")
+        val, grad, _ = pv.jet(x_k)
+        d = np.linalg.norm(grad)
+        assert isinstance(bp, cf.RadialProfile)
+        assert np.allclose(bp.center, d * (pv.center - x_k), rtol=1e-15, atol=0.0)
+        y = rng.normal(size=(10, n))
+        assert np.allclose(bp.value(y), pv.value(x_k + y / d) / val, rtol=1e-13, atol=0.0)
+        # the closed-form eigenvalues of the radial blow-up are those of its matrix
+        for pt in y[:3]:
+            assert np.allclose(cf.schouten_eigs(bp, pt),
+                               cf.schouten_matrix(bp, pt).eigenvalues, rtol=1e-10, atol=1e-12)
 
 
 def test_blowup_family_oscillation_decreases():
@@ -310,6 +389,12 @@ def test_holder_check_distances_far_from_unit_scale():
     assert dg.holder_check([[0.0, 3e200], [0.0, -1e200]], [0.0, 4.0], 0.5) == close(2e-100)
     assert dg.holder_check([[-1e308], [1e308]], [0.0, 1.0], 0.4) == \
         close(2.0 ** -0.4 * 1e308 ** -0.4)
+
+
+def test_holder_check_value_differences_far_from_unit_scale():
+    # 1e308 - (-1e308) overflows; the seminorm 2e308 / 1e120 does not
+    assert dg.holder_check([[0.0], [1e300]], [1e308, -1e308], 0.4) == \
+        pytest.approx(2e188, rel=1e-12, abs=0.0)
 
 
 def test_harnack_report():
