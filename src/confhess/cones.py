@@ -47,16 +47,17 @@ def _unit_rows(lam, j=1):
     return np.ldexp(lam, -e[..., None]), e
 
 
-def _homogeneous(fn, lam):
+def _homogeneous(fn, lam, floor=2.0 ** -1074):
     """``(v, p)``, ``fn(lam)[..., j - 1] = v[..., j - 1] * 2^(j p[..., j - 1])`` for ``fn``
     mapping rows to values of degree ``j = 1, 2, ..``.  Rows where every value is
-    finite and nonzero keep ``fn(lam)``; on the others (overflow, inf - inf or
-    rounding to 0) value ``j`` is evaluated again on ``_unit_rows(lam, j)``."""
+    finite and at least ``floor`` in magnitude keep ``fn(lam)``; on the others
+    (overflow, inf - inf or rounding below ``floor``, by default to 0) value ``j``
+    is evaluated again on ``_unit_rows(lam, j)``."""
     lam = np.asarray(lam, dtype=float)
     rows = lam.reshape(-1, lam.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):    # rows with inf or NaN entries too
         v = fn(rows)
-        redo = np.flatnonzero(np.any(~np.isfinite(v) | (v == 0.0), axis=-1))
+        redo = np.flatnonzero(np.any(~(np.abs(v) >= floor) | np.isinf(v), axis=-1))
         p = np.broadcast_to(0, v.shape)     # no array while no row is redone
         if redo.size:
             p = np.zeros(v.shape, dtype=int)
@@ -80,7 +81,8 @@ class GammaK:
             raise DomainError(f"GammaK requires 1 <= k <= n, got k={self.k}, n={self.n}")
 
     def _sigmas(self, lam):
-        return _homogeneous(lambda x: _poly.elementary_all(x, self.k)[..., 1:], lam)
+        # a subnormal sigma_j may have lost the bits of its sign to cancellation
+        return _homogeneous(lambda x: _poly.elementary_all(x, self.k)[..., 1:], lam, 2.0 ** -1022)
 
     def contains(self, lam):
         if self.k == self.n:
@@ -170,9 +172,12 @@ class SigmaDelta:
             raise DomainError(f"SigmaDelta requires finite delta >= 0, got {self.delta}")
 
     def margin_value(self, lam):
+        """``min lam_i + delta * sum lam_i``, accumulated into the sum's own vector."""
         lam = np.asarray(lam, dtype=float)
-        return (_poly.reduce_columns(np.minimum, lam)
-                + self.delta * _poly.reduce_columns(np.add, lam))
+        total = _poly.reduce_columns(np.add, lam)
+        total *= self.delta
+        total += _poly.reduce_columns(np.minimum, lam)
+        return total
 
     def _margin(self, lam):
         return _homogeneous(lambda x: self.margin_value(x)[..., None], lam)
@@ -280,14 +285,19 @@ def sample_cone(cone, size, rng=None, fraction_range=(1e-3, 1.0)):
     Gaussian proposals are projected to the cone boundary along the diagonal
     (via :func:`boundary_shift`) and then stepped inside by a uniformly drawn
     fraction of the local scale, which produces samples at widely varied
-    distances from the boundary.
+    distances from the boundary.  The point is ``g + (t + u max(|t|, 1))``, with the
+    step accumulated into the fraction ``u`` and added to the draw ``g`` in place, so
+    that the ``(size, n)`` draw is the only array of its size.
     """
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((size, cone.n))
     t = boundary_shift(cone, g)
     u = rng.uniform(fraction_range[0], fraction_range[1], size)
-    step = u * np.maximum(np.abs(t), 1.0)
-    return g + (t + step)[:, None]
+    scale = np.abs(t)
+    u *= np.maximum(scale, 1.0, out=scale)
+    u += t
+    g += u[:, None]
+    return g
 
 
 @dataclass(frozen=True)

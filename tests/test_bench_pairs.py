@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py, on made-up results (no benchmark runs)."""
 
 import importlib.util
+import resource
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ _SPEC.loader.exec_module(bench_pairs)
 METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "score", "better": "higher"}]
 
 
-def result(wall, score=1.0, correct=True, failed=0):
-    return {"correct": correct, "attempted": 4, "failed": failed,
+def result(wall, score=1.0, correct=True, failed=0, faults=1000):
+    return {"correct": correct, "attempted": 4, "failed": failed, "minor_faults": faults,
             "metrics": {"wall_s": {"value": wall}, "score": {"value": score}}}
 
 
@@ -58,3 +59,30 @@ def test_a_metric_missing_from_a_run_is_left_out():
     summary = bench_pairs.summarize([(result(1.0), broken)], METRICS)
     assert summary["metrics"] == {}
     assert len(summary["flags"]) == 1
+
+
+def test_minor_faults_are_summarized_in_a_row_that_claims_nothing():
+    pairs = [(result(1.0, faults=25000 + i), result(1.0, faults=10 + i)) for i in range(10)]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    assert summary["faults"]["wins"] == 10
+    assert summary["faults"]["parent"] == pytest.approx((25002.25, 25004.5, 25006.75))
+    assert summary["faults"]["ratio"] == pytest.approx(14.5 / 25004.5)
+    assert "claim" not in summary["faults"]
+    row = [line for line in bench_pairs.report(summary) if line.startswith("minor_faults")]
+    assert len(row) == 1 and row[0].endswith("10/10  -")
+    # a run without the field (an older result line) leaves the row out
+    del pairs[3][1]["minor_faults"]
+    assert bench_pairs.summarize(pairs, METRICS)["faults"] is None
+
+
+def test_run_bench_counts_the_faults_of_its_run(tmp_path):
+    # a stand-in bench/run.py that writes every page of 32 MiB
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\nblock = b'x' * (32 << 20)\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    res = bench_pairs.run_bench(tmp_path, "any", 1, 1.0)
+    assert res["correct"] and res["minor_faults"] >= (32 << 20) // resource.getpagesize()
+    (tmp_path / "bench" / "run.py").write_text("raise SystemExit(2)\n")
+    res = bench_pairs.run_bench(tmp_path, "any", 1, 1.0)
+    assert not res["correct"] and res["minor_faults"] > 0

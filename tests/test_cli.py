@@ -1065,10 +1065,31 @@ def config_documents(draw):
     return doc
 
 
+#: Exponents for ``--p-schedule``: the config's own, others that converge, and edges.
+SCHEDULE_EXPONENTS = ("3.0", "3.25", "3.5", "2.5", "4", "0", "-1", "1e300", "nan", "inf")
+
+
+def solver_commands():
+    """``solve``, ``continue-p`` with a drawn ``--p-schedule`` of one to three
+    exponents, or ``converge`` with one or two refinements (rarely an invalid
+    count) and a drawn ``--exact`` profile."""
+    exponents = mostly(st.sampled_from(SCHEDULE_EXPONENTS[:3]),
+                       st.sampled_from(SCHEDULE_EXPONENTS) | numbers())
+    schedule = st.lists(exponents, min_size=1, max_size=3).map(",".join)
+    schedule = mostly(schedule, schedule.flatmap(malformed))
+    refinements = mostly(st.integers(1, 2), st.integers(-1, 0))
+    return st.one_of(
+        st.just(["solve"]),
+        schedule.map(lambda s: ["continue-p", "--p-schedule=" + s]),
+        st.tuples(refinements, mostly(st.just("bubble:scale=1"), profile_descriptors()))
+        .map(lambda a: ["converge", "--refinements", str(a[0]), "--exact", a[1]]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(doc=config_documents(), fmt=st.sampled_from(("text", "json")))
-def test_solve_exits_with_a_documented_code_on_any_config(tmp_path_factory, doc, fmt):
+@given(doc=config_documents(), command=solver_commands(), fmt=st.sampled_from(("text", "json")))
+def test_solve_exits_with_a_documented_code_on_any_config(tmp_path_factory, doc, command, fmt):
     path = tmp_path_factory.getbasetemp() / "drawn_config.json"
     path.write_text(json.dumps(doc))
-    argv = ["solve", "--config", str(path), "--format", fmt]
+    argv = [*command, "--config", str(path), "--format", fmt]
+    event(command[0])
     assert_documented_exit(argv, (argv, json.dumps(doc)))

@@ -1,6 +1,7 @@
 """Cone membership, boundary location, sampling, inclusion relations."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_gamma_membership_matches_exact_arithmetic(data):
     size = _exact_sigmas(np.abs(lam), k)
     if all(abs(s) >= a / 10 ** 6 for s, a in zip(exact, size)):   # signs that floats resolve
         assert cones.cone_contains(cones.GammaK(n, k), lam) == all(s > 0 for s in exact)
+
+
+def test_gamma_membership_where_sigma_k_rounds_to_a_subnormal():
+    # sigma_2 = 7 2^-1079 > 0 lies below the subnormal step, and its terms sum to
+    # -2^-1074: the row is decided again on entries scaled into the float range
+    lam = np.ldexp([16.0, -0.75, 0.5, 0.5], -539)
+    assert _exact_sigmas(lam, 2)[1] == Fraction(7, 2 ** 1079)
+    assert cones.cone_contains(cones.GammaK(4, 2), lam)
 
 
 def test_sigma_delta_zero_equals_positive_orthant():
@@ -234,11 +243,27 @@ def test_gamma2_closed_form_matches_bisection_to_rounding(data):
     lam = data.draw(rows(n))
     if data.draw(st.booleans()) != (np.mean(lam) > 0.0):
         lam = -lam
-    cone = cones.GammaK(n, 2)
+    assert_gamma2_matches_bisection(lam)
+
+
+def assert_gamma2_matches_bisection(lam):
+    """Within 4 eps of the row scale, or one ulp of the oracle where that is
+    larger: among subnormals a tie of the exact shift is rounded either way."""
+    cone = cones.GammaK(len(lam), 2)
     eps = np.finfo(float).eps
     t = float(cones.boundary_shift(cone, lam))
     want = float(bisection_shift(cone, lam, tol=eps)[0])
-    assert abs(t - want) <= 4.0 * eps * float(_oracle_scale(lam))
+    assert abs(t - want) <= max(4.0 * eps * float(_oracle_scale(lam)), np.spacing(abs(want)))
+    return t, want
+
+
+def test_gamma2_boundary_shift_subnormal_tie():
+    # the exact shift x / 4 lies halfway between two subnormals, 11258999076.5
+    # steps: boundary_shift rounds it to the even one, the bisection lands on
+    # the odd one, and 4 eps of the row scale is below one subnormal step
+    x = 45035996306 * 2.0 ** -1074
+    t, want = assert_gamma2_matches_bisection(-np.array([0.0] * 7 + [x]))
+    assert t == 11258999076 * 2.0 ** -1074 and want == 11258999077 * 2.0 ** -1074
 
 
 def test_pucci_boundary_shift_subnormal_tie():
@@ -403,6 +428,47 @@ def test_sample_cone_membership_and_spread():
         assert np.all(margins > 0)
         # near-boundary behaviour is exercised: margins span two decades
         assert np.min(margins) < 0.05 * np.median(margins)
+
+
+def test_sample_cone_is_bitwise_the_out_of_place_formula():
+    # the draw is updated in place; recomputing g + (t + u max(|t|, 1)) from the
+    # same seed gives the same bits, at a size where the row blocks run
+    rows = 2 * _poly.BLOCK_ROWS + 1
+    specs = [symfun.PucciMin(n=5, k=2, delta=0.5), symfun.InvPowerSum(n=5),
+             symfun.InvMonomialSum(n=5, k=3),
+             symfun.RicciComposite(n=5, inner=symfun.SigmaKRoot(n=5, k=2))]
+    every = ([cones.GammaK(n, k) for n in range(3, 7) for k in range(1, n + 1)]
+             + [cones.SigmaDelta(5, 0.3)]
+             + [s.cone for s in specs if isinstance(s.cone, cones.Positivity)])
+    assert any(isinstance(cone, cones.Positivity) for cone in every)
+    for seed, cone in enumerate(every):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((rows, cone.n))
+        t = cones.boundary_shift(cone, g)
+        u = rng.uniform(1e-3, 1.0, rows)
+        want = g + (t + u * np.maximum(np.abs(t), 1.0))[:, None]
+        got = cones.sample_cone(cone, rows, seed)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), cone
+    # the margin accumulates into its sum: bitwise min + delta * sum
+    sigma = cones.SigmaDelta(got.shape[-1], 0.3)
+    for lam in (got, got[0]):
+        want = np.min(lam, axis=-1) + 0.3 * _poly.reduce_columns(np.add, lam)
+        assert np.asarray(sigma.margin_value(lam)).tobytes() == np.asarray(want).tobytes()
+
+
+def test_sample_cone_allocates_one_draw_sized_array():
+    # traced peak of a 10^5-row draw: its result plus at most 5 floats per row
+    # for the row blocks' temporaries and the per-row vectors (10 with a second
+    # (N, n) array for the result, as an out-of-place step would take)
+    cone, size = cones.GammaK(6, 4), 10 ** 5
+    cones.sample_cone(cone, size, 1)
+    tracemalloc.start()
+    try:
+        lam = cones.sample_cone(cone, size, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= lam.nbytes + 5 * size * lam.itemsize, peak / (size * lam.itemsize)
 
 
 def test_convexity_and_cone_property():
