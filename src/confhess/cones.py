@@ -47,17 +47,16 @@ def _unit_rows(lam, j=1):
     return np.ldexp(lam, -e[..., None]), e
 
 
-def _homogeneous(fn, lam, floor=2.0 ** -1074):
+def _homogeneous(fn, lam):
     """``(v, p)``, ``fn(lam)[..., j - 1] = v[..., j - 1] * 2^(j p[..., j - 1])`` for ``fn``
     mapping rows to values of degree ``j = 1, 2, ..``.  Rows where every value is
-    finite and at least ``floor`` in magnitude keep ``fn(lam)``; on the others
-    (overflow, inf - inf or rounding below ``floor``, by default to 0) value ``j``
-    is evaluated again on ``_unit_rows(lam, j)``."""
+    finite and nonzero keep ``fn(lam)``; on the others (overflow, inf - inf or
+    rounding to 0) value ``j`` is evaluated again on ``_unit_rows(lam, j)``."""
     lam = np.asarray(lam, dtype=float)
     rows = lam.reshape(-1, lam.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):    # rows with inf or NaN entries too
         v = fn(rows)
-        redo = np.flatnonzero(np.any(~(np.abs(v) >= floor) | np.isinf(v), axis=-1))
+        redo = np.flatnonzero(np.any(~np.isfinite(v) | (v == 0.0), axis=-1))
         p = np.broadcast_to(0, v.shape)     # no array while no row is redone
         if redo.size:
             p = np.zeros(v.shape, dtype=int)
@@ -81,8 +80,7 @@ class GammaK:
             raise DomainError(f"GammaK requires 1 <= k <= n, got k={self.k}, n={self.n}")
 
     def _sigmas(self, lam):
-        # a subnormal sigma_j may have lost the bits of its sign to cancellation
-        return _homogeneous(lambda x: _poly.elementary_all(x, self.k)[..., 1:], lam, 2.0 ** -1022)
+        return _homogeneous(lambda x: _poly.elementary_all(x, self.k)[..., 1:], lam)
 
     def contains(self, lam):
         if self.k == self.n:

@@ -55,7 +55,8 @@ def test_incorrect_runs_and_failed_ops_are_flagged():
 
 
 def test_a_metric_missing_from_a_run_is_left_out():
-    broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    # as run_bench returns a run that printed no result line
+    broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "minor_faults": 900}
     summary = bench_pairs.summarize([(result(1.0), broken)], METRICS)
     assert summary["metrics"] == {}
     assert len(summary["flags"]) == 1
@@ -70,9 +71,6 @@ def test_minor_faults_are_summarized_in_a_row_that_claims_nothing():
     assert "claim" not in summary["faults"]
     row = [line for line in bench_pairs.report(summary) if line.startswith("minor_faults")]
     assert len(row) == 1 and row[0].endswith("10/10  -")
-    # a run without the field (an older result line) leaves the row out
-    del pairs[3][1]["minor_faults"]
-    assert bench_pairs.summarize(pairs, METRICS)["faults"] is None
 
 
 def test_run_bench_counts_the_faults_of_its_run(tmp_path):

@@ -1085,7 +1085,7 @@ def solver_commands():
         .map(lambda a: ["converge", "--refinements", str(a[0]), "--exact", a[1]]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=450, deadline=None)     # solve in over 150 of them
 @given(doc=config_documents(), command=solver_commands(), fmt=st.sampled_from(("text", "json")))
 def test_solve_exits_with_a_documented_code_on_any_config(tmp_path_factory, doc, command, fmt):
     path = tmp_path_factory.getbasetemp() / "drawn_config.json"

@@ -118,12 +118,13 @@ def test_gamma_membership_matches_exact_arithmetic(data):
         assert cones.cone_contains(cones.GammaK(n, k), lam) == all(s > 0 for s in exact)
 
 
-def test_gamma_membership_where_sigma_k_rounds_to_a_subnormal():
-    # sigma_2 = 7 2^-1079 > 0 lies below the subnormal step, and its terms sum to
-    # -2^-1074: the row is decided again on entries scaled into the float range
-    lam = np.ldexp([16.0, -0.75, 0.5, 0.5], -539)
-    assert _exact_sigmas(lam, 2)[1] == Fraction(7, 2 ** 1079)
-    assert cones.cone_contains(cones.GammaK(4, 2), lam)
+def test_gamma_membership_keeps_an_exact_subnormal_sigma_of_a_large_row():
+    # sigma_1 sums to exactly 2^-1074 > 0 on the row as given; scaled down by
+    # 2^1000, the row would lose its last entry and read sigma_1 = 0
+    lam = [2.0 ** 1000, -(2.0 ** 1000), 2.0 ** -1074]
+    assert _exact_sigmas(lam, 1) == [Fraction(1, 2 ** 1074)]
+    assert cones.cone_contains(cones.GammaK(3, 1), lam)
+    assert not cones.cone_contains(cones.GammaK(3, 2), lam)    # sigma_2 < -2^1999
 
 
 def test_sigma_delta_zero_equals_positive_orthant():

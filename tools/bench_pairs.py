@@ -70,9 +70,8 @@ def summarize(pairs, metrics):
     ``pairs`` is a list of ``(parent, change)`` result dicts as ``run_bench``
     returns them; ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``
     (``name`` and ``better``).  Returns ``{"metrics": {name: {...}}, "faults":
-    {...} or None, "flags": [...]}``; a metric missing from any run is left out,
-    and ``faults`` (fewer is better, never claimed) is None unless every run has
-    ``minor_faults``."""
+    {...}, "flags": [...]}``; a metric missing from any run is left out, and
+    ``faults`` compares the runs' ``minor_faults`` (fewer is better, never claimed)."""
     flags = []
     for i, pair in enumerate(pairs):
         for side, res in zip(("parent", "change"), pair):
@@ -90,10 +89,8 @@ def summarize(pairs, metrics):
         gap = (qa[1] - qb[1]) if lower else (qb[1] - qa[1])
         m["claim"] = m["wins"] >= math.ceil(WIN_SHARE * len(pairs)) and gap > qa[2] - qa[0]
         out[name] = m
-    faults = None
-    if all("minor_faults" in res for pair in pairs for res in pair):
-        faults = compare([p["minor_faults"] for p, _ in pairs],
-                         [c["minor_faults"] for _, c in pairs])
+    faults = compare([p["minor_faults"] for p, _ in pairs],
+                     [c["minor_faults"] for _, c in pairs])
     return {"metrics": out, "faults": faults, "flags": flags}
 
 
@@ -101,9 +98,7 @@ def report(summary):
     """The summary as text lines."""
     lines = [f"{'metric':<14}{'parent q1/med/q3':>30}{'change q1/med/q3':>30}"
              f"{'ratio':>8}{'wins':>7}  claim"]
-    rows = list(summary["metrics"].items())
-    if summary["faults"]:
-        rows.append(("minor_faults", {**summary["faults"], "claim": None}))
+    rows = [*summary["metrics"].items(), ("minor_faults", {**summary["faults"], "claim": None})]
     for name, m in rows:
         fmt = lambda q: "/".join(f"{v:.4g}" for v in q)   # noqa: E731
         lines.append(f"{name:<14}{fmt(m['parent']):>30}{fmt(m['change']):>30}"
