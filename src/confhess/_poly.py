@@ -6,9 +6,10 @@ sample tuples in a handful of vectorized passes.
 
 The kernels run column-major: the coefficients live in contiguous planes of
 shape ``(k + 1, ...)``, each eigenvalue column is copied at most once into a
-contiguous array of the batch shape, and every update is one contiguous
-elementwise call over the whole batch.  Results are returned as
-trailing-axis views ``(..., k + 1)`` of those planes.  The planes of degree
+contiguous array of the batch shape (not at all where the rows come laid out
+by columns), and every update is one contiguous elementwise call over the
+whole batch.  Results are returned as trailing-axis views ``(..., k + 1)`` of
+those planes.  The planes of degree
 0 hold the constant 1 (``e_0 = h_0 = 1``, with the jet (1, 0, 0)): the
 recurrences add the column to the plane of degree 1 instead of multiplying
 it by them, which changes no bit of a finite result.  :func:`sort_rows`
@@ -199,10 +200,11 @@ def elementary_all(lam, k):
     _check_degree(k, lam.shape[-1])
     coef = np.zeros((k + 1,) + lam.shape[:-1])
     coef[0] = 1.0
+    prod = np.empty((max(k - 1, 0),) + lam.shape[:-1])     # the products of one column
     for j in range(lam.shape[-1] if k else 0):
         # e_1 gains x * e_0 = x itself, after the planes above it have read e_1
-        x = np.ascontiguousarray(lam[..., j])
-        coef[2:min(j + 1, k) + 1] += x * coef[1:min(j, k - 1) + 1]
+        x, m = np.ascontiguousarray(lam[..., j]), min(j, k - 1)
+        coef[2:m + 2] += np.multiply(x, coef[1:m + 1], out=prod[:m])
         coef[1:2] += x
     return np.moveaxis(coef, 0, -1)
 

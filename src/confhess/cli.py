@@ -262,7 +262,7 @@ def _cmd_converge(args):
     exact = conformal.parse_profile(args.exact, cfg.n)
     study = radial_solver.convergence_study(cfg, args.refinements, exact)
     lines = [f"N={g}: sup-error {_fmt(e)}" for g, e in study.levels]
-    lines += [f"orders: {', '.join(_fmt(o) for o in study.orders)}"]
+    lines += [f"orders: {', '.join('-' if o is None else _fmt(o) for o in study.orders)}"]
     _emit(args, {"config": cfg.to_dict(), **study.to_dict()}, text_lines=lines,
           csv_data=(["grid", "sup_error"], study.levels))
     return 0

@@ -24,7 +24,8 @@ from .errors import DomainError, NumericError, parse_descriptor
 
 #: A row of the Gamma_k boundary iteration stops once its step is below this fraction of max |lam_i|.
 NEWTON_STEP_TOL = 1e-13
-#: Cap on its Laguerre steps; Gaussian rows at n <= 8 take 4-5, two-valued rows 2.
+#: Cap on its Laguerre steps; Gaussian rows take 3 and one that confirms (up to 6 rows
+#: in 10^4 one more at n = 7, 8), two-valued rows 1 and one that confirms.
 NEWTON_MAX_STEPS = 100
 
 
@@ -38,31 +39,41 @@ def _unit_rows(lam, j=1):
     the ``j`` largest ``|lam_i|`` in ``[1, 2^(2j - 1))`` (``max |lam_i|`` in ``[1, 2)``
     at ``j = 1``): no product of ``j`` entries of ``lam / s`` overflows, and those
     lost to underflow are below 2^-1074 of the largest.  Partial products of fewer
-    entries still can, in rows spanning hundreds of binary orders of magnitude."""
+    entries still can, in rows spanning hundreds of binary orders of magnitude.
+
+    ``lam / s`` is laid out by columns, each ``[..., i]`` contiguous, whatever the
+    layout of ``lam``: a per-row scalar then broadcasts over whole columns."""
     lam = np.asarray(lam, dtype=float)
     if j == 1:
         e = np.frexp(_poly.reduce_columns(np.maximum, np.abs(lam)))[1] - 1
     else:
         e = np.sum(np.frexp(_poly.sort_rows(np.abs(lam))[..., -j:])[1], axis=-1) // j - 1
-    return np.ldexp(lam, -e[..., None]), e
+    cols = np.moveaxis(lam, -1, 0)
+    return np.moveaxis(np.ldexp(cols, -e, out=np.empty(cols.shape)), 0, -1), e
 
 
 def _homogeneous(fn, lam):
     """``(v, p)``, ``fn(lam)[..., j - 1] = v[..., j - 1] * 2^(j p[..., j - 1])`` for ``fn``
     mapping rows to values of degree ``j = 1, 2, ..``.  Rows where every value is
     finite and nonzero keep ``fn(lam)``; on the others (overflow, inf - inf or
-    rounding to 0) value ``j`` is evaluated again on ``_unit_rows(lam, j)``."""
+    rounding to 0) value ``j`` is evaluated again on ``_unit_rows(lam, j)``.  A
+    subnormal value is evaluated again as well, and taken only where
+    ``_unit_rows`` scales its row up, which is exact: scaled down, a row can
+    lose the entries that the value is made of."""
     lam = np.asarray(lam, dtype=float)
     rows = lam.reshape(-1, lam.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):    # rows with inf or NaN entries too
-        v = fn(rows)
-        redo = np.flatnonzero(np.any(~np.isfinite(v) | (v == 0.0), axis=-1))
+        v, tiny = fn(rows), np.finfo(float).tiny
+        # boolean masks only: a float temporary of the batch's size costs page faults
+        redo = np.flatnonzero(~np.all(np.isfinite(v) & ((v >= tiny) | (v <= -tiny)), axis=-1))
         p = np.broadcast_to(0, v.shape)     # no array while no row is redone
         if redo.size:
             p = np.zeros(v.shape, dtype=int)
+            whole = np.any(~np.isfinite(v[redo]) | (v[redo] == 0.0), axis=-1)
             for j in range(1, v.shape[-1] + 1):
-                x, p[redo, j - 1] = _unit_rows(rows[redo], j)
-                v[redo, j - 1] = fn(x)[:, j - 1]
+                x, e = _unit_rows(rows[redo], j)
+                take = whole | ((np.abs(v[redo, j - 1]) < tiny) & (e < 0))
+                v[redo[take], j - 1], p[redo[take], j - 1] = fn(x)[take, j - 1], e[take]
     shape = lam.shape[:-1] + v.shape[-1:]
     return v.reshape(shape), p.reshape(shape)
 
@@ -92,10 +103,15 @@ class GammaK:
         hyperbolicity cone (Garding).  One ``elementary_all`` pass at ``t0 = -min lam_i``
         (right of ``t*``) gives the Taylor coefficients ``C(n - j, k - j) sigma_j(lam + t0 1)
         >= 0`` of ``p(s) = q(t0 + s)``.  Laguerre's method on ``p`` falls from ``s = 0``
-        monotonically and cubically to its largest root, in 4-5 steps on Gaussian rows (it
-        is exact where the other roots coincide, as on two-valued rows).  Each row stops on
-        its own step, so its result does not depend on the other rows of the batch.  One
-        Newton step on ``sigma_k`` of the shifted rows polishes ``t``.  At k = 2, ``q`` is
+        monotonically and cubically to its largest root, in 3 steps and a fourth that
+        confirms on Gaussian rows (it is exact where the other roots coincide, as on
+        two-valued rows).  Each row stops on its own step, so its result does not depend on
+        the other rows of the batch.  Horner starts at degree 1 (``p = c[0] s + c[1]``,
+        ``p' = c[0]``, ``p'' = 0``), and ``p``, ``p'``, ``p''/2``, the discriminant and
+        the step are updated in place, in vectors allocated once per call.  One Newton
+        step on ``sigma_k`` of the shifted rows polishes ``t``.  On rows laid out by
+        columns, as :func:`_unit_rows` returns them, each ``lam + t 1`` and every column
+        read is one contiguous pass; no bit depends on the layout.  At k = 2, ``q`` is
         quadratic: ``t* = r - mean``, ``r^2 = sum (lam_i - mean)^2 / (n (n-1))``, or
         ``-2 sigma_2 / (n (n-1) (mean + r))``, free of cancellation, if mean > 0."""
         n, k = self.n, self.k
@@ -118,17 +134,26 @@ class GammaK:
         c = np.moveaxis(_poly.elementary_all(lam + t[:, None], k), -1, 0)
         c *= np.array([math.comb(n - j, k - j) for j in range(k + 1)])[:, None]
         s, active = np.zeros_like(t), np.ones(t.shape, dtype=bool)
+        p, dp, hp, root, step = (np.empty_like(t) for _ in range(5))
         for _ in range(NEWTON_MAX_STEPS):
-            p, dp, hp = c[0], 0.0, 0.0      # p, p', p''/2 at s, by Horner
-            for j in range(1, k + 1):
-                hp, dp, p = hp * s + dp, dp * s + p, p * s + c[j]
+            # p, p', p''/2 at s by Horner, from degree 1: c[0] s + c[1], c[0] and 0
+            np.add(np.multiply(c[0], s, out=p), c[1], out=p)
+            dp[:], hp[:] = c[0], 0.0
+            for j in range(2, k + 1):
+                for acc, term in ((hp, dp), (dp, p), (p, c[j])):
+                    acc *= s
+                    acc += term
             # Laguerre's step k p / (p' + sqrt((k-1)^2 p'^2 - k (k-1) p p'')); p or
             # p' <= 0 is rounding at the root, and such rows stay put
-            root = dp + np.sqrt(np.maximum((k - 1) ** 2 * dp * dp - 2 * k * (k - 1) * p * hp, 0))
-            step = np.divide(k * p, root, out=np.zeros_like(t),
-                             where=active & (p > 0.0) & (dp > 0.0))
+            np.multiply(np.multiply(dp, (k - 1) ** 2, out=root), dp, out=root)
+            root -= np.multiply(np.multiply(p, 2 * k * (k - 1), out=step), hp, out=step)
+            np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+            root += dp
+            step[:] = 0.0
+            np.divide(np.multiply(p, k, out=hp), root, out=step,     # k p, where p''/2 was
+                      where=active & (p > 0.0) & (dp > 0.0))
             s -= step
-            active = step > tol
+            np.greater(step, tol, out=active)
             if not np.any(active):
                 del c, p, dp, hp, root      # the planes go before the second pass
                 t += s
@@ -337,7 +362,7 @@ def gamma_sigma_inclusion_test(k, n, samples, seed):
     gamma = GammaK(n, k)
     sigma_cone = SigmaDelta(n, delta)
     lam = sample_cone(gamma, samples, rng)
-    margins = sigma_cone.margin_value(lam)
+    margins = _poly._by_row_blocks(sigma_cone.margin_value, lam)
     violations = int(np.count_nonzero(~(margins > 0.0)))
     return InclusionReport(
         k=k,

@@ -617,7 +617,10 @@ class ConvergenceStudy:
 
     @property
     def orders(self):
-        return [float(np.log2(a[1] / b[1])) for a, b in zip(self.levels, self.levels[1:])]
+        """``log2`` of the ratio of successive sup-errors; None where an error is 0
+        (a solution exact at the nodes has no order)."""
+        return [float(np.log2(a[1] / b[1])) if a[1] and b[1] else None
+                for a, b in zip(self.levels, self.levels[1:])]
 
     def to_dict(self):
         return {"levels": [{"grid": g, "sup_error": e} for g, e in self.levels],

@@ -5,12 +5,16 @@ test: ``elementary_excluding`` runs the product recurrence from scratch on
 every tuple with one entry removed, and ``complete_homogeneous_all`` goes
 through power sums.  ``unblocked`` evaluates a batched entry point on the
 whole batch at once, the reference for its evaluation in row blocks.
+``laguerre_shift`` locates the Gamma_k boundary by the Laguerre iteration
+written out of place, one new array per update, on rows as given.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from confhess import _poly
+from confhess import _poly, cones
 
 
 def elementary_excluding(lam, k):
@@ -59,3 +63,34 @@ def unblocked(fn, *args):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_poly, "BLOCK_ROWS", 10 ** 9)
         return fn(*args)
+
+
+def laguerre_shift(cone, lam):
+    """``boundary_shift(cone, lam)`` of a ``GammaK(n, k)``, 3 <= k <= n - 1, on an
+    ``(N, n)`` batch: each row scaled by the power of two putting ``max |lam_i|`` in
+    ``[1, 2)``, then Laguerre's method from ``t0 = -min lam_i`` by Horner from degree
+    0 and one Newton polish, every update an expression with a new result array."""
+    n, k = cone.n, cone.k
+    e = np.frexp(np.max(np.abs(lam), axis=-1))[1] - 1
+    lam = np.ldexp(lam, -e[:, None])
+    t = -np.min(lam, axis=-1)
+    tol = cones.NEWTON_STEP_TOL * np.maximum(np.max(lam, axis=-1), t)
+    c = np.moveaxis(_poly.elementary_all(lam + t[:, None], k), -1, 0)
+    c *= np.array([math.comb(n - j, k - j) for j in range(k + 1)])[:, None]
+    s, active = np.zeros_like(t), np.ones(t.shape, dtype=bool)
+    for _ in range(cones.NEWTON_MAX_STEPS):
+        p, dp, hp = c[0], 0.0, 0.0
+        for j in range(1, k + 1):
+            hp, dp, p = hp * s + dp, dp * s + p, p * s + c[j]
+        root = dp + np.sqrt(np.maximum((k - 1) ** 2 * dp * dp - 2 * k * (k - 1) * p * hp, 0))
+        step = np.divide(k * p, root, out=np.zeros_like(t),
+                         where=active & (p > 0.0) & (dp > 0.0))
+        s -= step
+        active = step > tol
+        if not np.any(active):
+            t += s
+            sig = _poly.elementary_all(lam + t[:, None], k)
+            q, dq = sig[:, k], (n - k + 1) * sig[:, k - 1]
+            t -= np.maximum(np.divide(q, dq, out=np.zeros_like(t), where=dq > 0), -tol)
+            return np.ldexp(t, e)
+    raise AssertionError(f"{cone}: no convergence in {cones.NEWTON_MAX_STEPS} steps")

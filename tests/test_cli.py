@@ -371,6 +371,16 @@ def test_converge_study(tmp_path, capsys):
     assert 1.7 < doc["orders"][0] < 2.3
 
 
+def test_converge_reports_no_order_for_zero_errors(tmp_path, capsys):
+    # the exact bubble as guess, accepted as it is: both sup-errors are 0
+    cfg_path = write_bubble_config(tmp_path, grid=16, initial_guess={
+        "kind": "profile", "name": "bubble:scale=1"}, tolerances={"residual": 2})
+    code, out, err = run(capsys, "converge", "--config", str(cfg_path),
+                         "--refinements", "2", "--exact", "bubble:scale=1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "orders: -"
+
+
 def test_monitor_and_harnack_json_are_the_report_fields(tmp_path, capsys):
     code, out, _ = run(capsys, "monitor", "--profile", "bubble", "--n", "4", "--radius", "1",
                        "--format", "json")

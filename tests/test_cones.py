@@ -13,7 +13,7 @@ from confhess import _poly, cones, symfun
 from confhess._poly import sigma
 from confhess.errors import DomainError, NumericError, UsageError
 
-from oracles import unblocked
+from oracles import laguerre_shift, unblocked
 
 
 def _oracle_scale(lam):
@@ -125,6 +125,16 @@ def test_gamma_membership_keeps_an_exact_subnormal_sigma_of_a_large_row():
     assert _exact_sigmas(lam, 1) == [Fraction(1, 2 ** 1074)]
     assert cones.cone_contains(cones.GammaK(3, 1), lam)
     assert not cones.cone_contains(cones.GammaK(3, 2), lam)    # sigma_2 < -2^1999
+
+
+def test_gamma_membership_redoes_a_subnormal_sigma_of_a_small_row():
+    # sigma_2 = 7 2^-1079 > 0, but its terms round to subnormals and sum to
+    # -2^-1074 on the row as given; scaled up by 2^538, exactly, it is positive
+    lam = np.ldexp([16.0, -0.75, 0.5, 0.5], -539)
+    assert _exact_sigmas(lam, 2) == [Fraction(65, 2 ** 541), Fraction(7, 2 ** 1079)]
+    assert _poly.elementary_all(lam, 2)[2] == -(2.0 ** -1074)
+    assert cones.cone_contains(cones.GammaK(4, 2), lam)
+    assert cones.cone_violation(cones.GammaK(4, 2), lam) is None
 
 
 def test_sigma_delta_zero_equals_positive_orthant():
@@ -400,6 +410,55 @@ def test_row_blocks_change_no_bit_of_shift_or_membership(n):
                 assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (cone, fn)
 
 
+def test_unit_rows_are_column_planes_bitwise_the_ldexp():
+    # the scaled copy is laid out by columns, each [..., i] contiguous, for any
+    # leading shape and any layout of the input
+    rng = np.random.default_rng(43)
+    for lead in ((), (5,), (3, 4)):
+        lam = rng.standard_normal(lead + (6,)) * np.exp(rng.uniform(-5, 5, lead + (1,)))
+        for x in (lam, lam[..., ::-1], lam[::2]):
+            for j in (1, 2):
+                got, e = cones._unit_rows(x, j)
+                assert got.shape == x.shape and np.shape(e) == x.shape[:-1]
+                assert np.moveaxis(got, -1, 0).flags.c_contiguous
+                want = np.ldexp(x, -e[..., None])
+                assert got.tobytes() == want.tobytes(), (lead, j)
+
+
+def test_gamma_boundary_shift_is_bitwise_the_out_of_place_iteration():
+    # the Laguerre updates in place, and the rows laid out by columns, change no
+    # bit: Gaussian rows at a size where the row blocks run, and two-valued rows
+    rng = np.random.default_rng(44)
+    rows = 2 * _poly.BLOCK_ROWS + 1
+    for n in range(4, 9):
+        g = rng.standard_normal((rows, n))
+        two = np.repeat(rng.standard_normal((64, 1)), n, axis=1)
+        two[:, 0] = rng.standard_normal(64)
+        for k in range(3, n):
+            cone = cones.GammaK(n, k)
+            for lam in (g, two):
+                got = cones.boundary_shift(cone, lam)
+                assert got.tobytes() == laguerre_shift(cone, lam).tobytes(), (n, k)
+
+
+EDGE_CONES = ([cones.GammaK(4, k) for k in range(1, 5)]
+              + [cones.SigmaDelta(4, 0.25), cones.Positivity(symfun.PucciMin(n=4, k=2, delta=0.5)),
+                 cones.Positivity(symfun.RicciComposite(n=4, inner=symfun.SigmaKRoot(n=4, k=2)))])
+
+
+@pytest.mark.parametrize("cone", EDGE_CONES, ids=lambda c: c.descriptor())
+def test_edge_shapes_and_strided_views_give_the_bits_of_a_contiguous_copy(cone):
+    rng = np.random.default_rng(45)
+    lam = rng.standard_normal((9, 4)) + 0.5
+    for x in (np.empty((0, 4)), np.empty((2, 0, 4)), lam[0], lam[:, ::-1], lam[::2],
+              lam.T.copy().T, lam[1:].reshape(2, 4, 4)[:, ::2]):
+        for fn in (cones.boundary_shift, cones.cone_contains):
+            got, want = fn(cone, x), fn(cone, np.ascontiguousarray(x))
+            assert np.shape(got) == np.shape(want) == x.shape[:-1], (fn, x.shape)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (fn, x.shape)
+    assert cones.sample_cone(cone, 0, 1).shape == (0, 4)
+
+
 def test_boundary_shift_rejects_non_finite_tuples():
     for bad in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, -np.inf, 1.0]]):
         with pytest.raises(DomainError):
@@ -541,6 +600,18 @@ def test_inclusion_report_and_coincidence_at_k_equals_n():
     assert rep.delta == pytest.approx(1.0 / 8.0)
     assert rep.delta < 1.0 / (4 - 2)
     assert rep.violations == 0
+
+
+def test_inclusion_margins_in_row_blocks_are_those_of_the_whole_batch():
+    # worst margin and violations of the blocked margins: bitwise min + delta sum
+    rows = 2 * _poly.BLOCK_ROWS + 1
+    for k, n in ((2, 4), (3, 5), (5, 6)):
+        rep = cones.gamma_sigma_inclusion_test(k, n, rows, seed=k)
+        assert rep == unblocked(cones.gamma_sigma_inclusion_test, k, n, rows, k)
+        lam = cones.sample_cone(cones.GammaK(n, k), rows, np.random.default_rng(k))
+        margins = np.min(lam, axis=-1) + rep.delta * _poly.reduce_columns(np.add, lam)
+        assert rep.worst_margin == np.min(margins)
+        assert rep.violations == np.count_nonzero(~(margins > 0.0)) == 0
 
 
 def test_inclusion_rejects_k_equal_one():

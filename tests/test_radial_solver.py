@@ -460,6 +460,16 @@ def test_convergence_study_second_order_down_to_the_rounding_floor():
         assert 1.7 < order < 2.3
 
 
+def test_convergence_study_of_a_solution_exact_at_the_nodes_has_no_order():
+    # the guess is the bubble itself, and a residual tolerance of 2 accepts it
+    # unchanged: every sup-error is 0, and no order is formed from 0 / 0
+    cfg = bubble_cfg(grid=16, sin_amplitude=0.0, residual_tol=2.0)
+    study = rs.convergence_study(cfg, 2, cf.bubble_profile(N_DIM))
+    assert [e for _, e in study.levels] == [0.0, 0.0]
+    assert study.orders == [None]
+    assert rs.ConvergenceStudy([(16, 1e-3), (32, 0.0), (64, 0.0)]).orders == [None, None]
+
+
 @pytest.mark.parametrize("grid", [32, 64, 128, 256])
 def test_coarse_grids_reach_the_residual_tolerance(grid):
     out = rs.newton_solve(bubble_cfg(grid=grid))
